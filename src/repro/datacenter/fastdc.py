@@ -1,14 +1,16 @@
-"""Fast-tier datacenter engine: two-level routing on the calendar queue.
+"""Fast-tier datacenter engine: two-level routing on the shared loop.
 
 The vectorized rack engine (:mod:`repro.fastpath.fastcluster`) knows one
 rack; this module is its rack-of-racks sibling. Routing is inherently
 state-dependent here — every hierarchy model reads live per-node and
-per-rack outstanding counts — so the whole run is one sequential event
-loop in the fastcluster style: batched arrival/service sampling, a
-:class:`~repro.fastpath.calendar.CalendarQueue` for departures, a
-:class:`~repro.fastpath.fastcluster.FaultTimeline` for materialized
-fault plans, and per-node server-free-time heaps (every node runs the
-paper's 1x16 single-queue scheme, the RPCValet configuration).
+per-rack outstanding counts — so the whole run goes through the fast
+tier's one sequential event loop,
+:func:`~repro.fastpath.fastcluster.run_sequential` (batched
+arrival/service sampling, a ``heapq`` of departures, materialized fault
+timelines, per-node server-free-time heaps; every node runs the paper's
+1x16 single-queue scheme, the RPCValet configuration). This module
+supplies only calibration, the scheduler, and the datacenter's route,
+admit and release rules.
 
 Fidelity notes, matching the DES cross-check in ``ext-datacenter``:
 
@@ -33,18 +35,19 @@ Fidelity notes, matching the DES cross-check in ``ext-datacenter``:
 
 from __future__ import annotations
 
-import heapq
-import math
+from collections import deque
 from functools import lru_cache
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from ..cluster.cluster import ClusterResult
-from ..fastpath.calendar import CalendarQueue
-from ..fastpath.fastcluster import FaultTimeline, calibrated_scheme_profile
-from ..metrics import LatencySummary
-from ..rack.router import RouterStats
+from ..fastpath.fastcluster import (
+    calibrated_scheme_profile,
+    cluster_result,
+    fault_timeline,
+    light_load_overhead_ns,
+    run_sequential,
+    sample_streams,
+)
 from .schedulers import DEFAULT_JBSQ_K, make_scheduler
 from .topology import DatacenterTopology, node_profile
 
@@ -52,27 +55,6 @@ __all__ = [
     "calibrated_profile_overhead_ns",
     "simulate_datacenter_fast",
 ]
-
-
-def _profile_probe_overhead_ns(profile_name: str, cores: int, probe_seed: int) -> float:
-    """Light-load DES probe with the profile's costs/config installed."""
-    from ..balancing import SingleQueue
-    from ..cluster import Cluster
-    from ..workloads import HerdWorkload
-
-    profile = node_profile(profile_name)
-    workload = HerdWorkload()
-    cluster = Cluster(
-        num_nodes=2,
-        scheme_factory=SingleQueue,
-        workload=workload,
-        config=profile.chip_config(),
-        costs=profile.costs(),
-        seed=probe_seed,
-        core_counts=[cores, cores],
-    )
-    result = cluster.run(per_node_mrps=2.0, requests_per_node=600)
-    return max(result.aggregate.mean - workload.mean_processing_ns, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -89,10 +71,14 @@ def calibrated_profile_overhead_ns(
     :func:`~repro.fastpath.fastcluster.calibrated_scheme_profile`), so
     a single number suffices.
     """
-    if node_profile(profile_name) == node_profile("baseline"):
+    profile = node_profile(profile_name)
+    if profile == node_profile("baseline"):
         occupancy, shift = calibrated_scheme_profile("1x16", cores, probe_seed)
         return occupancy + shift
-    return _profile_probe_overhead_ns(profile_name, cores, probe_seed)
+    return light_load_overhead_ns(
+        "1x16", cores, probe_seed,
+        config=profile.chip_config(), costs=profile.costs(),
+    )
 
 
 def simulate_datacenter_fast(
@@ -122,12 +108,11 @@ def simulate_datacenter_fast(
     """
     if per_node_mrps <= 0 or requests_per_node <= 0:
         raise ValueError("per_node_mrps and requests_per_node must be positive")
-    from ..workloads import HerdWorkload
 
     num_nodes = topology.num_nodes
     num_racks = topology.num_racks
     rack_of = [topology.rack_of(node) for node in range(num_nodes)]
-    speeds = np.asarray(topology.speed_factors, dtype=float)
+    speeds = [float(factor) for factor in topology.speed_factors]
 
     profile = (
         node_profile("nanopu") if hierarchy == "nanopu" else topology.profile
@@ -137,225 +122,72 @@ def simulate_datacenter_fast(
     scheduler = make_scheduler(
         hierarchy, topology, policy=policy, skew=skew, jbsq_k=jbsq_k
     )
-    scheduler.set_capacities(
-        [cores * float(speeds[node]) for node in range(num_nodes)]
-    )
+    scheduler.set_capacities([cores * speed for speed in speeds])
     bound = scheduler.bound_k
+    # Fetched after construction so a wrapped instance method is seen.
+    choose = scheduler.choose
 
-    workload = HerdWorkload()
-    arrival_rng, service_rng, route_rng = (
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(3)
+    times, clients, processing, route_rng = sample_streams(
+        num_nodes, requests_per_node, per_node_mrps, arrival_process, seed
     )
-
-    # Batched per-client arrival streams, merged with one stable sort
-    # (the fastcluster recipe, verbatim).
-    n = requests_per_node
-    mean_gap_ns = 1e3 / per_node_mrps
-    if arrival_process is not None:
-        mean_rate = arrival_process.mean_rate_rps
-        if mean_rate > 0:
-            mean_gap_ns = 1e9 / mean_rate
-        gaps = np.stack(
-            [arrival_process.sample_gaps(arrival_rng, n) for _ in range(num_nodes)]
-        )
-    else:
-        gaps = arrival_rng.exponential(mean_gap_ns, size=(num_nodes, n))
-    flat_times = np.cumsum(gaps, axis=1).ravel()
-    flat_clients = np.repeat(np.arange(num_nodes), n)
-    order = np.argsort(flat_times, kind="stable")
-    times = flat_times[order]
-    clients = flat_clients[order]
-
-    processing = np.empty(num_nodes * n)
-    for client in range(num_nodes):
-        samples, _labels = workload.sample_batch(service_rng, n)
-        processing[client * n : (client + 1) * n] = samples
-    processing = processing[order]
-
-    total = times.size
-    timeline: Optional[FaultTimeline] = None
-    if faults is not None and not getattr(faults, "is_trivial", False):
-        timeline = FaultTimeline(faults, num_nodes, float(times[-1]), seed)
-
-    dsts = np.empty(total, dtype=np.int64)
-    sojourns = np.empty(total)
-    departures = np.empty(total)
-    dropped = np.zeros(total, dtype=bool) if timeline is not None else None
+    timeline = fault_timeline(faults, num_nodes, times, seed)
 
     outstanding = [0] * num_nodes
     #: Per-rack aggregate the spine reads: dispatched + ToR-held.
     rack_load = [0] * num_racks
-    free_heaps = [[0.0] * cores for _ in range(num_nodes)]
-    for heap in free_heaps:
-        heapq.heapify(heap)
-    hold: List[List[tuple]] = [[] for _ in range(num_racks)]
+    hold = [deque() for _ in range(num_racks)]
     holds = 0
     max_outstanding = 0
 
-    calendar = CalendarQueue(bucket_width=max(mean_gap_ns / num_nodes, 1.0))
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    recoveries = timeline.recoveries if timeline is not None else []
-    recovery_cursor = 0
+    def route(_index: int, client: int, _now: float) -> int:
+        return choose(client, outstanding, rack_load, route_rng)
 
-    def submit(index: int, start_at: float, dst: int, entered_at: float) -> None:
-        """Dispatch one RPC to ``dst``; sojourn clock runs from entry.
-
-        ``entered_at`` is when the RPC entered the datapath (arrival,
-        plus any fabric spike); a JBSQ hold keeps that clock running,
-        so held time is paid on the sojourn like the real ToR queue.
-        """
-        nonlocal max_outstanding
-        if outstanding[dst] > max_outstanding:
-            max_outstanding = outstanding[dst]
-        speed = speeds[dst]
-        if timeline is not None:
-            speed *= timeline.speed_factor(dst, start_at)
-        service = processing[index] / speed + overhead
-        heap = free_heaps[dst]
-        free = heappop(heap)
-        depart = (start_at if start_at > free else free) + service
-        heappush(heap, depart)
-        dsts[index] = dst
-        departures[index] = depart
-        sojourns[index] = depart - entered_at
-        calendar.push(depart, (dst, index))
-
-    def drain(upto: float) -> None:
-        nonlocal holds
-        while calendar:
-            when = calendar.peek_time()
-            if when > upto:
-                return
-            when, (done_node, _done_index) = calendar.pop()
-            outstanding[done_node] -= 1
-            rack = rack_of[done_node]
-            rack_load[rack] -= 1
-            if bound is not None:
-                queue = hold[rack]
-                if queue and outstanding[done_node] < bound:
-                    # Late binding: the freed member is by construction
-                    # the rack's first slot below the bound, so the
-                    # oldest held RPC binds to it at the free instant.
-                    next_index, entered_at = queue.pop(0)
-                    outstanding[done_node] += 1
-                    submit(next_index, when, done_node, entered_at)
-
-    for index in range(total):
-        now = times[index]
-        client = int(clients[index])
-        while (
-            recovery_cursor < len(recoveries)
-            and recoveries[recovery_cursor][0] <= now
-        ):
-            # Recovery boundary: the outage froze the node's servers,
-            # so nothing can start before this instant (fastcluster's
-            # heap surgery).
-            rec_time, rec_node = recoveries[recovery_cursor]
-            recovery_cursor += 1
-            heap = free_heaps[rec_node]
-            for lane, free in enumerate(heap):
-                if free < rec_time:
-                    heap[lane] = rec_time
-            heapq.heapify(heap)
-        drain(now)
-
-        dst = scheduler.choose(client, outstanding, rack_load, route_rng)
-
-        entered_at = now
-        if timeline is not None:
-            # Fabric traversal first, then delivery-time liveness — the
-            # DES injector's order. Dropped requests never count toward
-            # load signals or server work.
-            fabric_drop, spike_delay = timeline.fabric_fate(now)
-            entered_at = now + spike_delay
-            if fabric_drop or timeline.node_down(dst, entered_at):
-                if not fabric_drop:
-                    timeline.stats.crash_drops += 1
-                dropped[index] = True
-                dsts[index] = dst
-                departures[index] = now
-                sojourns[index] = math.nan
-                continue
-
+    def admit(index: int, _client: int, dst: int, entered_at: float) -> bool:
+        nonlocal holds, max_outstanding
         rack = rack_of[dst]
+        rack_load[rack] += 1
         if bound is not None and outstanding[dst] >= bound:
             # The rack's least-loaded member is at the bound: every
             # member is full, so the ToR holds the RPC (still counted
             # in the rack aggregate the spine reads).
             holds += 1
-            rack_load[rack] += 1
             hold[rack].append((index, entered_at))
-        else:
-            outstanding[dst] += 1
-            rack_load[rack] += 1
-            submit(index, entered_at, dst, entered_at)
+            return False
+        outstanding[dst] += 1
+        if outstanding[dst] > max_outstanding:
+            max_outstanding = outstanding[dst]
+        return True
 
-    drain(float("inf"))
-    assert all(not queue for queue in hold), "ToR hold queues must drain"
+    def release(node: int, _client: int, _when: float) -> Optional[tuple]:
+        nonlocal max_outstanding
+        outstanding[node] -= 1
+        rack = rack_of[node]
+        rack_load[rack] -= 1
+        queue = hold[rack]
+        if queue and outstanding[node] < bound:
+            # Late binding: the freed member is by construction the
+            # rack's first slot below the bound, so the oldest held RPC
+            # binds to it at the free instant; the RPC's sojourn clock
+            # keeps running from its entry, so held time is paid.
+            outstanding[node] += 1
+            if outstanding[node] > max_outstanding:
+                max_outstanding = outstanding[node]
+            return queue.popleft()
+        return None
 
-    skip = int(total * warmup_fraction)
-    kept_sojourns = sojourns[skip:]
-    kept_dsts = dsts[skip:]
-    if dropped is not None:
-        kept_ok = ~dropped[skip:]
-        kept_sojourns = kept_sojourns[kept_ok]
-        kept_dsts = kept_dsts[kept_ok]
-    aggregate = LatencySummary.from_values(kept_sojourns)
-    per_node = [
-        LatencySummary.from_values(kept_sojourns[kept_dsts == node])
-        if np.any(kept_dsts == node)
-        else LatencySummary.empty()
-        for node in range(num_nodes)
-    ]
-
-    elapsed_ns = float(departures.max())
-    routed_counts = np.bincount(dsts, minlength=num_nodes)
-    stats = RouterStats(
-        policy=scheduler.label,
-        signal="fresh",
-        skew=skew,
-        routed=[int(count) for count in routed_counts],
-        decisions=total,
+    dsts, sojourns, departures, dropped = run_sequential(
+        times, clients, processing, route_rng, "1x16", [cores] * num_nodes,
+        speeds, [overhead] * num_nodes, [0.0] * num_nodes, timeline,
+        route, admit, release,
     )
-
-    snapshot = None
-    if telemetry:
-        from ..fastpath.fastcluster import _build_snapshot
-
-        snapshot = _build_snapshot(routed_counts, None)
-
-    lost = int(np.count_nonzero(dropped)) if dropped is not None else 0
-    completed = total - lost
-    throughput = completed / elapsed_ns * 1e3 if elapsed_ns > 0 else 0.0
-    availability = None
-    fault_stats = None
-    if timeline is not None:
-        availability = timeline.finalize(elapsed_ns, total, lost)
-        fault_stats = timeline.stats
-        completed_counts = np.bincount(dsts[~dropped], minlength=num_nodes)
-    else:
-        completed_counts = routed_counts
 
     if _audit is not None:
         _audit["holds"] = holds
         _audit["max_outstanding"] = max_outstanding
         _audit["bound_k"] = bound
 
-    return ClusterResult(
-        num_nodes=num_nodes,
-        aggregate=aggregate,
-        per_node=per_node,
-        total_throughput_mrps=throughput,
-        stall_fractions=[0.0] * num_nodes,
-        completed=completed,
-        per_node_completed=[int(count) for count in completed_counts],
-        router_stats=stats,
-        telemetry=snapshot,
-        offered=total if timeline is not None else 0,
-        lost=lost,
-        goodput_mrps=throughput if timeline is not None else 0.0,
-        availability=availability,
-        fault_stats=fault_stats,
+    return cluster_result(
+        dsts, sojourns, departures, dropped, timeline, [0] * num_nodes, None,
+        requests_per_node, warmup_fraction, scheduler.label, "fresh", skew,
+        telemetry,
     )

@@ -629,7 +629,7 @@ def run_datacenter(
         )
     if resolved != "des":
         findings.append(
-            f"engine={resolved}: sequential calendar-queue surrogate "
+            f"engine={resolved}: sequential heapq-loop surrogate "
             "sharing the DES's scheduler objects (ground truth: "
             "--engine des)"
         )

@@ -9,8 +9,9 @@ two cheaper tiers, selectable per run through ``engine=``:
   :mod:`repro.fastpath.fastchip`) — a vectorized surrogate that keeps
   per-RPC granularity but collapses the chip to a calibrated FIFO
   service process: batched arrival/service sampling, per-node
-  server-free-time heaps, and a calendar-queue bucketed scheduler for
-  the departure traffic that dominates the DES event heap.
+  server-free-time heaps, and one sequential event loop (shared by the
+  rack and datacenter engines) that drains departures through a
+  ``heapq``.
 * ``fluid`` (:mod:`repro.fastpath.fluid`) — a mean-field tier that
   replaces per-RPC simulation entirely above a node-count threshold:
   queue-length ODE trajectories per policy, with latency quantiles
@@ -30,7 +31,6 @@ validity envelope of each tier are documented in EXPERIMENTS.md
 ("Engine tiers").
 """
 
-from .calendar import CalendarQueue
 from .fastchip import calibrated_chip_profile, fast_chip_point, fast_scheme_sweep
 from .fastcluster import (
     calibrated_scheme_profile,
@@ -50,7 +50,6 @@ from .select import (
 )
 
 __all__ = [
-    "CalendarQueue",
     "DEFAULT_FLUID_THRESHOLD",
     "ENGINES",
     "ENGINE_CAPABILITIES",

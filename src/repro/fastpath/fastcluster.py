@@ -16,10 +16,12 @@ approach:
   run each node as one :func:`repro.queueing.fastsim.simulate_fifo_queue`
   call (per-node server-free-time heaps in flat arrays);
 * load-aware policies (JSQ(d)/SED) keep a sequential decision loop —
-  the decisions are inherently state-dependent — but drive departures
-  through a :class:`repro.fastpath.CalendarQueue` instead of the DES
-  kernel's generic heap, and reuse the *exact* policy/signal classes
-  from :mod:`repro.rack` so routing semantics cannot drift.
+  the decisions are inherently state-dependent — that drains departures
+  through one ``heapq`` of ``(time, seq, ...)`` entries and reuses the
+  *exact* policy/signal classes from :mod:`repro.rack` so routing
+  semantics cannot drift. The loop (:func:`run_sequential`) is shared
+  with the datacenter engine (:mod:`repro.datacenter.fastdc`): each
+  engine supplies only its route, admit and release rules.
 
 Shaped arrivals (any :class:`repro.popload.ArrivalProcess`) replace
 the per-client exponential batch with per-client ``sample_gaps`` calls
@@ -50,10 +52,12 @@ synchronous state reads). Tolerance bands are enforced by
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from bisect import bisect_right
+from collections import defaultdict, deque
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,12 +67,16 @@ from ..queueing.fastsim import simulate_fifo_queue
 from ..rack.policies import PowerOfD, ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
-from .calendar import CalendarQueue
 
 __all__ = [
     "FaultTimeline",
     "calibrated_scheme_profile",
     "calibrated_service_overhead_ns",
+    "cluster_result",
+    "fault_timeline",
+    "light_load_overhead_ns",
+    "run_sequential",
+    "sample_streams",
     "simulate_rack_fast",
 ]
 
@@ -83,14 +91,18 @@ _PROBE_NODES = 4
 _PROBE_REQUESTS = 1500
 
 
-def _light_load_overhead_ns(scheme: str, cores: int, probe_seed: int) -> float:
+def light_load_overhead_ns(
+    scheme: str, cores: int, probe_seed: int, config=None, costs=None
+) -> float:
     """Total per-RPC latency overhead from a light-load DES probe.
 
     Runs a tiny two-node DES cluster at ~5% utilization, where queueing
     is negligible, and subtracts the workload's mean processing time:
     what remains is the NI/dispatch/messaging latency every RPC pays —
     the same "measured mean minus processing mean" recipe Fig. 9's
-    analytic model uses.
+    analytic model uses. ``config``/``costs`` install a node profile's
+    chip config and cost objects (the datacenter's ``nanopu`` profile);
+    ``None`` keeps the :class:`~repro.cluster.Cluster` defaults.
     """
     from ..balancing import Partitioned, SingleQueue
     from ..cluster import Cluster
@@ -102,6 +114,8 @@ def _light_load_overhead_ns(scheme: str, cores: int, probe_seed: int) -> float:
         num_nodes=2,
         scheme_factory=factory,
         workload=workload,
+        config=config,
+        costs=costs,
         seed=probe_seed,
         core_counts=[cores, cores],
     )
@@ -129,7 +143,7 @@ def calibrated_scheme_profile(
     mean sojourn on the identical scenario. Cached per (scheme, cores):
     rack sweeps reuse a handful of probes across dozens of points.
     """
-    overhead = _light_load_overhead_ns(scheme, cores, probe_seed)
+    overhead = light_load_overhead_ns(scheme, cores, probe_seed)
     if scheme != "16x1":
         return overhead, 0.0
 
@@ -271,11 +285,11 @@ def _count_stalls(
     return stalled
 
 
-class _FaultTimeline:
+class FaultTimeline:
     """One materialized :class:`~repro.faults.FaultPlan`, as flat windows.
 
-    The DES injector executes the plan as scheduled callbacks; this
-    engine has no event kernel, so the same materialized events become
+    The DES injector executes the plan as scheduled callbacks; the fast
+    tier has no event kernel, so the same materialized events become
     per-node window lists the sequential loop probes by containment
     (plans hold a handful of events — linear scans beat any index).
     The fabric stream reuses the DES's ``"faults.fabric"`` name from a
@@ -410,6 +424,288 @@ class _FaultTimeline:
         return availability
 
 
+def fault_timeline(faults, num_nodes: int, times: np.ndarray, seed: int):
+    """The run's :class:`FaultTimeline`, or None for no/trivial plans.
+
+    Same ``(plan, node-count, horizon, seed)`` materialization the DES
+    injector schedules from, so fast and DES runs see the same fault
+    timeline for a given scenario.
+    """
+    if faults is None or getattr(faults, "is_trivial", False):
+        return None
+    return FaultTimeline(faults, num_nodes, float(times[-1]), seed)
+
+
+def sample_streams(
+    num_clients: int,
+    requests_per_client: int,
+    per_client_mrps: float,
+    arrival_process,
+    seed: int,
+) -> tuple:
+    """Batched per-client arrival and service streams, merged in time.
+
+    Returns ``(times, clients, processing, route_rng)``. Each client
+    draws its gaps in one vectorized sweep — exponential, or the
+    ``arrival_process``'s own ``sample_gaps``, mirroring how each DES
+    node draws its own gap batch — and one stable argsort merges the
+    streams. Service times are one ``sample_batch`` per client, reordered
+    with the arrivals. ``route_rng``, the third child of ``seed``, is
+    left for routing and 16x1 lane picks.
+    """
+    from ..workloads import HerdWorkload
+
+    arrival_rng, service_rng, route_rng = (
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(3)
+    )
+    n = requests_per_client
+    if arrival_process is not None:
+        gaps = np.stack(
+            [arrival_process.sample_gaps(arrival_rng, n) for _ in range(num_clients)]
+        )
+    else:
+        gaps = arrival_rng.exponential(1e3 / per_client_mrps, size=(num_clients, n))
+    flat_times = np.cumsum(gaps, axis=1).ravel()
+    flat_clients = np.repeat(np.arange(num_clients), n)
+    order = np.argsort(flat_times, kind="stable")
+
+    workload = HerdWorkload()
+    processing = np.empty(num_clients * n)
+    for client in range(num_clients):
+        samples, _labels = workload.sample_batch(service_rng, n)
+        processing[client * n : (client + 1) * n] = samples
+    return flat_times[order], flat_clients[order], processing[order], route_rng
+
+
+def run_sequential(
+    times: np.ndarray,
+    clients: np.ndarray,
+    processing: np.ndarray,
+    route_rng: np.random.Generator,
+    scheme: str,
+    cores: Sequence[int],
+    speeds: Sequence[float],
+    occupancy: Sequence[float],
+    shift: Sequence[float],
+    timeline: Optional[FaultTimeline],
+    route: Callable[[int, int, float], int],
+    admit: Callable[[int, int, int, float], bool],
+    release: Callable[[int, int, float], Optional[tuple]],
+) -> tuple:
+    """The fast tier's sequential event loop, shared by every engine.
+
+    Walks the merged arrivals in time order. Before each arrival it
+    applies due recovery boundaries and drains departures up to "now";
+    then ``route(index, client, now)`` picks the destination. With a
+    fault ``timeline`` the request first rolls its fabric fate (drop /
+    delay spike / counted dup), then is dropped if its destination is
+    inside a crash window at delivery — the DES injector's order.
+    Dropped requests never reach ``admit`` and are excluded from the
+    latency summaries. ``admit(index, client, dst, entered_at)`` returns
+    True to dispatch now, or False after queueing the RPC itself
+    (blocked). On every departure, ``release(node, client, when)`` may
+    return ``(index, clock_start)``: a blocked RPC to dispatch to
+    ``node`` at ``when``, its sojourn clock running from
+    ``clock_start``. An RPC still blocked after the final drain raises
+    :class:`RuntimeError`.
+
+    Each node is a ``1x16`` server-free-time heap or ``16x1`` per-core
+    lanes picked uniformly from ``route_rng``; service is processing
+    time over the node's speed (scaled by any slowdown window open at
+    launch) plus its fixed ``occupancy``, and ``shift`` adds pipelined
+    latency to the sojourn only. A recovery boundary floors the node's
+    server-free times: the outage froze its servers. Departures drain
+    through one ``heapq`` keyed on ``(time, seq)``, so ties fire in
+    insertion order.
+
+    Returns ``(dsts, sojourns, departures, dropped)``; ``dsts`` is where
+    each RPC was served (or headed, if dropped) and ``dropped`` is None
+    without a timeline.
+    """
+    total = times.size
+    dsts = np.empty(total, dtype=np.int64)
+    sojourns = np.empty(total)
+    departures = np.empty(total)
+    dropped = np.zeros(total, dtype=bool) if timeline is not None else None
+
+    arrival_at = times.item
+    client_of = clients.tolist()
+    work = processing.item
+    speeds = [float(speed) for speed in speeds]
+    occupancy = [float(value) for value in occupancy]
+    shift = [float(value) for value in shift]
+
+    one_queue = scheme == "1x16"
+    # All-zero lists are valid heaps as they stand.
+    free_times = [[0.0] * int(count) for count in cores]
+    events: List[tuple] = []
+    seq = itertools.count()
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    integers = route_rng.integers
+    recoveries = timeline.recoveries if timeline is not None else []
+    recovery_cursor = 0
+    blocked = 0
+
+    def submit(index: int, start_at: float, dst: int, clock_start: float) -> None:
+        speed = speeds[dst]
+        if timeline is not None:
+            speed *= timeline.speed_factor(dst, start_at)
+        service = work(index) / speed + occupancy[dst]
+        servers = free_times[dst]
+        if one_queue:
+            free = heappop(servers)
+            depart = (start_at if start_at > free else free) + service
+            heappush(servers, depart)
+        else:
+            lane = int(integers(0, len(servers)))
+            free = servers[lane]
+            depart = (start_at if start_at > free else free) + service
+            servers[lane] = depart
+        dsts[index] = dst
+        departures[index] = depart
+        sojourns[index] = depart - clock_start + shift[dst]
+        heappush(events, (depart, next(seq), dst, client_of[index]))
+
+    def drain(upto: float) -> None:
+        nonlocal blocked
+        while events and events[0][0] <= upto:
+            when, _seq, node, client = heappop(events)
+            released = release(node, client, when)
+            if released is not None:
+                blocked -= 1
+                index, clock_start = released
+                submit(index, when, node, clock_start)
+
+    for index in range(total):
+        now = arrival_at(index)
+        client = client_of[index]
+        while (
+            recovery_cursor < len(recoveries)
+            and recoveries[recovery_cursor][0] <= now
+        ):
+            rec_time, rec_node = recoveries[recovery_cursor]
+            recovery_cursor += 1
+            servers = free_times[rec_node]
+            for lane, free in enumerate(servers):
+                if free < rec_time:
+                    servers[lane] = rec_time
+            if one_queue:
+                heapq.heapify(servers)
+        drain(now)
+
+        dst = route(index, client, now)
+        entered_at = now
+        if timeline is not None:
+            fabric_drop, spike_delay = timeline.fabric_fate(now)
+            entered_at = now + spike_delay
+            if fabric_drop or timeline.node_down(dst, entered_at):
+                if not fabric_drop:
+                    timeline.stats.crash_drops += 1
+                dropped[index] = True
+                dsts[index] = dst
+                departures[index] = now
+                sojourns[index] = math.nan
+                continue
+        if admit(index, client, dst, entered_at):
+            submit(index, entered_at, dst, entered_at)
+        else:
+            blocked += 1
+
+    drain(math.inf)
+    if blocked:
+        raise RuntimeError(
+            f"{blocked} RPC(s) still blocked after the final drain: the "
+            f"release rule never dispatched them"
+        )
+    return dsts, sojourns, departures, dropped
+
+
+def cluster_result(
+    dsts: np.ndarray,
+    sojourns: np.ndarray,
+    departures: np.ndarray,
+    dropped: Optional[np.ndarray],
+    timeline: Optional[FaultTimeline],
+    stalled: Sequence[int],
+    errors: Optional[np.ndarray],
+    requests_per_client: int,
+    warmup_fraction: float,
+    policy_label: str,
+    signal_label: str,
+    skew: float,
+    telemetry: bool,
+) -> ClusterResult:
+    """Summarize one fast-tier run in the DES's result shape.
+
+    The first ``warmup_fraction`` of requests and every dropped request
+    are excluded from the latency summaries; ``stalled`` is per-client
+    send-slot stalls, ``errors`` the per-decision signal error of
+    load-aware routing (None when routing read no signal).
+    """
+    num_nodes = len(stalled)
+    total = dsts.size
+    skip = int(total * warmup_fraction)
+    kept_sojourns = sojourns[skip:]
+    kept_dsts = dsts[skip:]
+    if dropped is not None:
+        kept_ok = ~dropped[skip:]
+        kept_sojourns = kept_sojourns[kept_ok]
+        kept_dsts = kept_dsts[kept_ok]
+    aggregate = LatencySummary.from_values(kept_sojourns)
+    per_node = [
+        LatencySummary.from_values(kept_sojourns[kept_dsts == node])
+        if np.any(kept_dsts == node)
+        else LatencySummary.empty()
+        for node in range(num_nodes)
+    ]
+
+    elapsed_ns = float(departures.max())
+    routed_counts = np.bincount(dsts, minlength=num_nodes)
+    stats = RouterStats(
+        policy=policy_label,
+        signal=signal_label,
+        skew=skew,
+        routed=[int(count) for count in routed_counts],
+        decisions=total,
+    )
+    if errors is not None:
+        stats.signal_error_sum = float(errors.sum())
+        stats.signal_error_count = int(errors.size)
+
+    snapshot = _build_snapshot(routed_counts, errors) if telemetry else None
+
+    lost = int(np.count_nonzero(dropped)) if dropped is not None else 0
+    completed = total - lost
+    throughput = completed / elapsed_ns * 1e3 if elapsed_ns > 0 else 0.0
+    availability = None
+    fault_stats = None
+    if timeline is not None:
+        availability = timeline.finalize(elapsed_ns, total, lost)
+        fault_stats = timeline.stats
+        completed_counts = np.bincount(dsts[~dropped], minlength=num_nodes)
+    else:
+        completed_counts = routed_counts
+
+    return ClusterResult(
+        num_nodes=num_nodes,
+        aggregate=aggregate,
+        per_node=per_node,
+        total_throughput_mrps=throughput,
+        stall_fractions=[int(count) / requests_per_client for count in stalled],
+        completed=completed,
+        per_node_completed=[int(count) for count in completed_counts],
+        router_stats=stats,
+        telemetry=snapshot,
+        offered=total if timeline is not None else 0,
+        lost=lost,
+        goodput_mrps=throughput if timeline is not None else 0.0,
+        availability=availability,
+        fault_stats=fault_stats,
+    )
+
+
 def simulate_rack_fast(
     num_nodes: int,
     policy: str = "random",
@@ -449,9 +745,7 @@ def simulate_rack_fast(
         raise ValueError(f"need at least 2 nodes, got {num_nodes!r}")
     if per_node_mrps <= 0 or requests_per_node <= 0:
         raise ValueError("per_node_mrps and requests_per_node must be positive")
-    from ..workloads import HerdWorkload
 
-    num_clients = num_nodes
     cores = (
         [int(count) for count in core_counts]
         if core_counts is not None
@@ -461,7 +755,6 @@ def simulate_rack_fast(
         speed_factors if speed_factors is not None else [1.0] * num_nodes,
         dtype=float,
     )
-    workload = HerdWorkload()
     # Per-node (core occupancy, pipelined latency shift) split; the
     # ``_profile`` hook lets the calibration bisection drive this
     # engine with candidate splits without recursing into the probes.
@@ -477,48 +770,10 @@ def simulate_rack_fast(
     signal_obj = make_signal(signal)
     destinations = ZipfDestinations(num_nodes, skew)
 
-    arrival_rng, service_rng, route_rng = (
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(3)
+    times, clients, processing, route_rng = sample_streams(
+        num_nodes, requests_per_node, per_node_mrps, arrival_process, seed
     )
-
-    # Batched per-client arrival streams, merged with one stable sort.
-    n = requests_per_node
-    mean_gap_ns = 1e3 / per_node_mrps
-    if arrival_process is not None:
-        # One deterministic sweep of the shared generator per client,
-        # mirroring how each DES node draws its own gap batch; the
-        # calendar bucket heuristic tracks the process's actual mean.
-        mean_rate = arrival_process.mean_rate_rps
-        if mean_rate > 0:
-            mean_gap_ns = 1e9 / mean_rate
-        gaps = np.stack(
-            [arrival_process.sample_gaps(arrival_rng, n) for _ in range(num_clients)]
-        )
-    else:
-        gaps = arrival_rng.exponential(mean_gap_ns, size=(num_clients, n))
-    flat_times = np.cumsum(gaps, axis=1).ravel()
-    flat_clients = np.repeat(np.arange(num_clients), n)
-    order = np.argsort(flat_times, kind="stable")
-    times = flat_times[order]
-    clients = flat_clients[order]
-
-    # Batched service sampling, one vectorized draw per client stream.
-    processing = np.empty(num_clients * n)
-    for client in range(num_clients):
-        samples, _labels = workload.sample_batch(service_rng, n)
-        processing[client * n : (client + 1) * n] = samples
-    processing = processing[order]
-
-    total = times.size
-    errors: Optional[np.ndarray] = None
-
-    timeline: Optional[_FaultTimeline] = None
-    if faults is not None and not getattr(faults, "is_trivial", False):
-        # Same (plan, node-count, horizon, seed) materialization the
-        # DES injector schedules from, so fast and DES runs see the
-        # same fault timeline for a given scenario.
-        timeline = _FaultTimeline(faults, num_nodes, float(times[-1]), seed)
+    timeline = fault_timeline(faults, num_nodes, times, seed)
 
     static_dsts: Optional[np.ndarray] = None
     if not policy_obj.uses_load_signal:
@@ -526,20 +781,15 @@ def simulate_rack_fast(
             policy_obj.label, destinations, clients, route_rng, num_nodes
         )
 
+    errors: Optional[np.ndarray] = None
     if timeline is None and static_dsts is not None and not _slots_may_bind(
-        static_dsts,
-        processing,
-        speeds,
-        occupancy,
-        cores,
-        times,
-        send_slots_per_node,
-        num_nodes,
+        static_dsts, processing, speeds, occupancy, cores, times,
+        send_slots_per_node, num_nodes,
     ):
         # Fully vectorized: state-independent routing, no send-slot
         # pressure — each node is one struct-of-arrays FIFO call.
         dsts = static_dsts
-        departures = np.empty(total)
+        departures = np.empty(times.size)
         services = processing / speeds[dsts] + occupancy[dsts]
         for node in range(num_nodes):
             mask = dsts == node
@@ -552,86 +802,19 @@ def simulate_rack_fast(
         sojourns = departures - times + shift[dsts]
         dropped = None
     else:
-        dsts, sojourns, departures, errors, stalled, dropped = _route_sequential(
-            policy_obj,
-            signal_obj,
-            destinations,
-            scheme,
-            cores,
-            speeds,
-            occupancy,
-            shift,
-            times,
-            clients,
-            processing,
-            route_rng,
-            mean_gap_ns,
-            send_slots_per_node,
-            static_dsts,
-            timeline,
+        route, admit, release, errors, stalled = _rack_rules(
+            policy_obj, signal_obj, destinations, cores, speeds, route_rng,
+            send_slots_per_node, static_dsts, times.size,
+        )
+        dsts, sojourns, departures, dropped = run_sequential(
+            times, clients, processing, route_rng, scheme, cores, speeds,
+            occupancy, shift, timeline, route, admit, release,
         )
 
-    skip = int(total * warmup_fraction)
-    kept_sojourns = sojourns[skip:]
-    kept_dsts = dsts[skip:]
-    if dropped is not None:
-        kept_ok = ~dropped[skip:]
-        kept_sojourns = kept_sojourns[kept_ok]
-        kept_dsts = kept_dsts[kept_ok]
-    aggregate = LatencySummary.from_values(kept_sojourns)
-    per_node = [
-        LatencySummary.from_values(kept_sojourns[kept_dsts == node])
-        if np.any(kept_dsts == node)
-        else LatencySummary.empty()
-        for node in range(num_nodes)
-    ]
-
-    elapsed_ns = float(departures.max())
-    routed_counts = np.bincount(dsts, minlength=num_nodes)
-    stats = RouterStats(
-        policy=policy_obj.label,
-        signal=signal_obj.label,
-        skew=skew,
-        routed=[int(count) for count in routed_counts],
-        decisions=total,
-    )
-    if errors is not None:
-        stats.signal_error_sum = float(errors.sum())
-        stats.signal_error_count = int(errors.size)
-
-    snapshot = None
-    if telemetry:
-        snapshot = _build_snapshot(routed_counts, errors)
-
-    lost = int(np.count_nonzero(dropped)) if dropped is not None else 0
-    completed = total - lost
-    throughput = completed / elapsed_ns * 1e3 if elapsed_ns > 0 else 0.0
-    availability = None
-    fault_stats = None
-    if timeline is not None:
-        availability = timeline.finalize(elapsed_ns, total, lost)
-        fault_stats = timeline.stats
-        completed_counts = np.bincount(
-            dsts[~dropped], minlength=num_nodes
-        )
-    else:
-        completed_counts = routed_counts
-
-    return ClusterResult(
-        num_nodes=num_nodes,
-        aggregate=aggregate,
-        per_node=per_node,
-        total_throughput_mrps=throughput,
-        stall_fractions=[int(count) / n for count in stalled],
-        completed=completed,
-        per_node_completed=[int(count) for count in completed_counts],
-        router_stats=stats,
-        telemetry=snapshot,
-        offered=total if timeline is not None else 0,
-        lost=lost,
-        goodput_mrps=throughput if timeline is not None else 0.0,
-        availability=availability,
-        fault_stats=fault_stats,
+    return cluster_result(
+        dsts, sojourns, departures, dropped, timeline, stalled, errors,
+        requests_per_node, warmup_fraction, policy_obj.label,
+        signal_obj.label, skew, telemetry,
     )
 
 
@@ -663,62 +846,75 @@ def _slots_may_bind(
     return bool(utilization.max() > 0.85)
 
 
-def _route_sequential(
+def _rack_rules(
     policy_obj,
     signal_obj,
     destinations: ZipfDestinations,
-    scheme: str,
     cores: List[int],
     speeds: np.ndarray,
-    occupancy: np.ndarray,
-    shift: np.ndarray,
-    times: np.ndarray,
-    clients: np.ndarray,
-    processing: np.ndarray,
     route_rng: np.random.Generator,
-    mean_gap_ns: float,
     slots: int,
     static_dsts: Optional[np.ndarray],
-    timeline: Optional[_FaultTimeline] = None,
-):
-    """Sequential event loop: load-aware routing and/or slot blocking.
+    total: int,
+) -> tuple:
+    """The rack's route/admit/release rules for :func:`run_sequential`.
 
-    Load-aware policies (JSQ(d)/SED) are inherently state-dependent, so
-    their decisions run through the rack package's policy objects
-    verbatim; only the signal models are re-expressed on flat state
-    (live counters, broadcast snapshots, per-client piggyback views)
-    because the DES versions are event-driven. State-independent
-    policies pass their precomputed destinations via ``static_dsts``
-    and only pay for the closed-loop send-slot bookkeeping.
+    Returns ``(route, admit, release, errors, stalled)``. Load-aware
+    policies (JSQ(d)/SED) are inherently state-dependent, so their
+    decisions run through the rack package's policy objects verbatim;
+    only the signal models are re-expressed on flat state (live
+    counters, broadcast snapshots, per-client piggyback views) because
+    the DES versions are event-driven. State-independent policies pass
+    their precomputed destinations via ``static_dsts`` and only pay for
+    the closed-loop send-slot bookkeeping.
 
-    Departure feedback — the Timeout/Callback traffic that dominates
-    the DES heap — drains through a calendar queue sized to ~one event
-    per bucket. Like the DES, a send finding its per-destination slot
-    pool exhausted waits client-side for a replenish; the server-side
-    sojourn clock starts at submission, not generation.
-
-    With a fault ``timeline``, each request rolls its fabric fate at
-    routing time (drop / delay spike / counted dup), requests routed to
-    a node inside a crash window are dropped as ``crash_drops``, a
-    recovery boundary floors the node's server-free times (the outage
-    froze its servers), and slowdown windows scale the effective speed
-    of requests launched inside them. Dropped requests never occupy a
-    send slot or server and are excluded from the latency summaries.
+    Like the DES, a send finding its per-(client, destination) slot
+    pool exhausted waits client-side (counted as a stall) for a
+    replenish; the departure that frees the slot re-issues the oldest
+    blocked send at that instant, and its server-side sojourn clock
+    starts then, not at generation.
     """
     num_nodes = len(cores)
-    total = times.size
-    dsts = (
-        static_dsts
-        if static_dsts is not None
-        else np.empty(total, dtype=np.int64)
-    )
-    sojourns = np.empty(total)
-    departures = np.empty(total)
-    load_aware = policy_obj.uses_load_signal
-    errors = np.empty(total) if load_aware else None
-    stalled = np.zeros(num_nodes, dtype=np.int64)
-
     outstanding = [0] * num_nodes
+    inflight = [[0] * num_nodes for _ in range(num_nodes)]
+    pending = defaultdict(deque)
+    stalled = [0] * num_nodes
+    is_broadcast = isinstance(signal_obj, BroadcastSignal)
+    is_piggyback = isinstance(signal_obj, PiggybackSignal)
+    views = (
+        [[0.0] * num_nodes for _ in range(num_nodes)] if is_piggyback else None
+    )
+
+    def admit(index: int, client: int, dst: int, _entered_at: float) -> bool:
+        outstanding[dst] += 1
+        if inflight[client][dst] >= slots:
+            stalled[client] += 1
+            pending[(client, dst)].append(index)
+            return False
+        inflight[client][dst] += 1
+        return True
+
+    def release(node: int, client: int, when: float) -> Optional[tuple]:
+        outstanding[node] -= 1
+        if views is not None:
+            views[client][node] = float(outstanding[node])
+        queue = pending.get((client, node))
+        if queue:
+            # The freed slot's credit passes straight to the oldest
+            # blocked send, so the pair's in-flight count is unchanged.
+            return queue.popleft(), when
+        inflight[client][node] -= 1
+        return None
+
+    if static_dsts is not None:
+        static = static_dsts.tolist()
+
+        def route_static(index: int, _client: int, _now: float) -> int:
+            return static[index]
+
+        return route_static, admit, release, None, stalled
+
+    errors = np.empty(total)
     capacities = {
         node: cores[node] * float(speeds[node]) for node in range(num_nodes)
     }
@@ -726,33 +922,11 @@ def _route_sequential(
         [int(node) for node in destinations.peers_of(client)]
         for client in range(num_nodes)
     ]
-
-    is_broadcast = isinstance(signal_obj, BroadcastSignal)
-    is_piggyback = isinstance(signal_obj, PiggybackSignal)
     period = signal_obj.period_ns if is_broadcast else 0.0
     next_tick = period
     snap = [0] * num_nodes
-    views = (
-        [[0.0] * num_nodes for _ in range(num_nodes)] if is_piggyback else None
-    )
-
-    # Per-node service state: one server-free-time heap per 1x16 node,
-    # one flat per-core free-time list per 16x1 node.
-    one_queue = scheme == "1x16"
-    if one_queue:
-        free_heaps = [[0.0] * cores[node] for node in range(num_nodes)]
-        for heap in free_heaps:
-            heapq.heapify(heap)
-    else:
-        core_free = [[0.0] * cores[node] for node in range(num_nodes)]
-
-    inflight = [[0] * num_nodes for _ in range(num_nodes)]
-    pending: dict = {}
-
-    calendar = CalendarQueue(bucket_width=max(mean_gap_ns / num_nodes, 1.0))
-    heappush = heapq.heappush
-    heappop = heapq.heappop
     integers = route_rng.integers
+    rng_random = route_rng.random
     choose = policy_obj.choose
 
     # JSQ(d) dominates the sequential traffic (ext-rack, ext-scale); an
@@ -762,152 +936,44 @@ def _route_sequential(
     # scalar ``np.searchsorted`` per candidate. Equivalence is pinned by
     # tests/test_fastpath.py against the policy-object path.
     jsq_d = None
-    if isinstance(policy_obj, PowerOfD) and static_dsts is None:
+    if isinstance(policy_obj, PowerOfD):
         jsq_d = policy_obj.d
         jsq_cumulative = [
             [float(value) for value in destinations.cumulative_of(client)]
             for client in range(num_nodes)
         ]
-    rng_random = route_rng.random
-    bisect = bisect_right
 
-    dropped = np.zeros(total, dtype=bool) if timeline is not None else None
-    recoveries = timeline.recoveries if timeline is not None else []
-    recovery_cursor = 0
-
-    def submit(index: int, submit_at: float, dst: int, client: int) -> None:
-        speed = speeds[dst]
-        if timeline is not None:
-            speed *= timeline.speed_factor(dst, submit_at)
-        service = processing[index] / speed + occupancy[dst]
-        if one_queue:
-            heap = free_heaps[dst]
-            free = heappop(heap)
-            depart = (submit_at if submit_at > free else free) + service
-            heappush(heap, depart)
-        else:
-            lanes = core_free[dst]
-            lane = int(integers(0, len(lanes)))
-            free = lanes[lane]
-            depart = (submit_at if submit_at > free else free) + service
-            lanes[lane] = depart
-        departures[index] = depart
-        sojourns[index] = depart - submit_at + shift[dst]
-        calendar.push(depart, (dst, client, index))
-
-    def drain(upto: float) -> None:
-        while calendar:
-            when = calendar.peek_time()
-            if when > upto:
-                return
-            when, (done_node, done_client, _done_index) = calendar.pop()
-            outstanding[done_node] -= 1
-            if views is not None:
-                views[done_client][done_node] = float(outstanding[done_node])
-            inflight[done_client][done_node] -= 1
-            queue = pending.get((done_client, done_node))
-            if queue:
-                # The freed slot's credit re-issues the oldest blocked
-                # send at the replenish instant, like the DES client.
-                next_index = queue.pop(0)
-                inflight[done_client][done_node] += 1
-                submit(next_index, when, done_node, done_client)
-
-    for index in range(total):
-        now = times[index]
-        client = int(clients[index])
-        while (
-            recovery_cursor < len(recoveries)
-            and recoveries[recovery_cursor][0] <= now
-        ):
-            # Heap surgery at a recovery boundary: the outage froze the
-            # node's servers, so nothing can start before this instant.
-            rec_time, rec_node = recoveries[recovery_cursor]
-            recovery_cursor += 1
-            if one_queue:
-                heap = free_heaps[rec_node]
-                for lane, free in enumerate(heap):
-                    if free < rec_time:
-                        heap[lane] = rec_time
-                heapq.heapify(heap)
-            else:
-                lanes = core_free[rec_node]
-                for lane, free in enumerate(lanes):
-                    if free < rec_time:
-                        lanes[lane] = rec_time
-        drain(now)
+    def route(index: int, client: int, now: float) -> int:
+        nonlocal snap, next_tick
         if is_broadcast:
             while now >= next_tick:
                 snap = list(outstanding)
                 next_tick += period
-
-        if static_dsts is not None:
-            dst = int(static_dsts[index])
+            believe = snap
+        elif is_piggyback:
+            believe = views[client]
         else:
-            if is_broadcast:
-                believe = snap
-            elif is_piggyback:
-                believe = views[client]
-            else:
-                believe = outstanding
-            if jsq_d is not None:
-                cumulative = jsq_cumulative[client]
-                peers = peers_of[client]
-                last = len(cumulative) - 1
-                chosen: List[int] = []
-                while len(chosen) < jsq_d:
-                    position = bisect(cumulative, rng_random())
-                    candidate = peers[position if position < last else last]
-                    if candidate not in chosen:
-                        chosen.append(candidate)
-                best = min(believe[node] for node in chosen)
-                tied = [node for node in chosen if believe[node] == best]
-                dst = (
-                    tied[0]
-                    if len(tied) == 1
-                    else tied[int(integers(0, len(tied)))]
-                )
-            else:
-                estimates = {
-                    node: float(believe[node]) for node in peers_of[client]
-                }
-                dst = choose(
-                    client, destinations, estimates, capacities, route_rng
-                )
-            errors[index] = abs(float(believe[dst]) - outstanding[dst])
-            dsts[index] = dst
-
-        submit_at = now
-        if timeline is not None:
-            # Fabric traversal first, then delivery-time liveness — the
-            # DES injector's order. Dropped requests never count toward
-            # load signals, send slots, or server work.
-            fabric_drop, spike_delay = timeline.fabric_fate(now)
-            submit_at = now + spike_delay
-            if fabric_drop or timeline.node_down(dst, submit_at):
-                if not fabric_drop:
-                    timeline.stats.crash_drops += 1
-                dropped[index] = True
-                departures[index] = now
-                sojourns[index] = math.nan
-                continue
-        outstanding[dst] += 1
-
-        if inflight[client][dst] >= slots:
-            stalled[client] += 1
-            pending.setdefault((client, dst), []).append(index)
+            believe = outstanding
+        if jsq_d is not None:
+            cumulative = jsq_cumulative[client]
+            peers = peers_of[client]
+            last = len(cumulative) - 1
+            chosen: List[int] = []
+            while len(chosen) < jsq_d:
+                position = bisect_right(cumulative, rng_random())
+                candidate = peers[position if position < last else last]
+                if candidate not in chosen:
+                    chosen.append(candidate)
+            best = min(believe[node] for node in chosen)
+            tied = [node for node in chosen if believe[node] == best]
+            dst = tied[0] if len(tied) == 1 else tied[int(integers(0, len(tied)))]
         else:
-            inflight[client][dst] += 1
-            submit(index, submit_at, dst, client)
+            estimates = {node: float(believe[node]) for node in peers_of[client]}
+            dst = choose(client, destinations, estimates, capacities, route_rng)
+        errors[index] = abs(float(believe[dst]) - outstanding[dst])
+        return dst
 
-    drain(float("inf"))
-    return dsts, sojourns, departures, errors, stalled, dropped
-
-
-#: Public name for the flat-window fault timeline: the datacenter fast
-#: engine (:mod:`repro.datacenter.fastdc`) replays the same
-#: materialized plans inside its own sequential loop.
-FaultTimeline = _FaultTimeline
+    return route, admit, release, errors, stalled
 
 
 def _build_snapshot(routed_counts: np.ndarray, errors: Optional[np.ndarray]):

@@ -1,7 +1,6 @@
-"""Tiered simulation core: calendar queue, engine selection, and the
-DES <-> fast <-> fluid equivalence bands documented in EXPERIMENTS.md."""
-
-import heapq
+"""Tiered simulation core: engine selection, the fast tier's shared
+sequential loop, and the DES <-> fast <-> fluid equivalence bands
+documented in EXPERIMENTS.md."""
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from repro.fastpath import (
     DEFAULT_FLUID_THRESHOLD,
     ENGINES,
-    CalendarQueue,
     fast_scheme_sweep,
     fluid_tail_measure,
     resolve_engine,
@@ -17,50 +15,6 @@ from repro.fastpath import (
     simulate_rack_fast,
 )
 from repro.fastpath import fastcluster
-
-
-class TestCalendarQueue:
-    def test_matches_heapq_order(self):
-        rng = np.random.default_rng(7)
-        times = rng.exponential(50.0, size=2_000).cumsum()
-        rng.shuffle(times)
-        calendar = CalendarQueue(bucket_width=25.0)
-        mirror = []
-        for index, when in enumerate(times):
-            calendar.push(float(when), index)
-            heapq.heappush(mirror, (float(when), index))
-        drained = []
-        while calendar:
-            drained.append(calendar.pop()[0])
-        assert drained == sorted(drained)
-        assert len(drained) == len(times)
-        assert drained == [heapq.heappop(mirror)[0] for _ in range(len(times))]
-
-    def test_interleaved_push_pop(self):
-        rng = np.random.default_rng(11)
-        calendar = CalendarQueue(bucket_width=1.0)
-        mirror = []
-        clock = 0.0
-        for _ in range(500):
-            if mirror and rng.random() < 0.4:
-                want = heapq.heappop(mirror)[0]
-                got, _payload = calendar.pop()
-                assert got == want
-                clock = got
-            else:
-                when = clock + float(rng.exponential(3.0))
-                calendar.push(when, None)
-                heapq.heappush(mirror, (when, None))
-        while mirror:
-            assert calendar.pop()[0] == heapq.heappop(mirror)[0]
-
-    def test_peek_does_not_consume(self):
-        calendar = CalendarQueue(bucket_width=1.0)
-        calendar.push(3.0, "a")
-        assert calendar.peek_time() == 3.0
-        assert calendar.peek_time() == 3.0
-        assert calendar.pop() == (3.0, "a")
-        assert not calendar
 
 
 class TestEngineSelection:
@@ -150,6 +104,224 @@ class TestFastDeterminism:
         assert inlined.aggregate.mean == generic.aggregate.mean
         assert inlined.p99_ns == generic.p99_ns
         assert inlined.per_node_completed == generic.per_node_completed
+
+
+class TestSequentialLoop:
+    @staticmethod
+    def _run(admit, release):
+        return fastcluster.run_sequential(
+            np.array([10.0, 20.0, 30.0]), np.array([0, 1, 0]),
+            np.array([100.0, 100.0, 100.0]), np.random.default_rng(0),
+            "1x16", [1, 2], [1.0, 1.0], [5.0, 5.0], [0.0, 0.0], None,
+            lambda index, client, now: 1 - client, admit, release,
+        )
+
+    def test_blocked_rpc_that_is_never_released_raises(self):
+        def never(node, client, when):
+            return None
+
+        with pytest.raises(RuntimeError, match="1 RPC"):
+            self._run(lambda index, client, dst, entered_at: index != 1, never)
+
+    def test_released_rpc_dispatches_at_the_departure(self):
+        held = []
+
+        def admit(index, client, dst, entered_at):
+            if index == 1:
+                held.append((index, entered_at))
+                return False
+            return True
+
+        def release(node, client, when):
+            return held.pop() if held else None
+
+        dsts, sojourns, departures, dropped = self._run(admit, release)
+        # RPC 1 (bound for node 0) is held; RPC 0's departure from node
+        # 1 at 10 + 105 releases it onto node 1's freed server, its
+        # sojourn clock still running from its arrival at 20.
+        assert dsts.tolist() == [1, 1, 1]
+        assert departures.tolist() == [115.0, 220.0, 135.0]
+        assert sojourns[1] == 220.0 - 20.0
+        assert dropped is None
+
+
+#: Fast-tier outputs pinned bit-for-bit: ``float.hex`` of the aggregate
+#: (mean, p50, p99), per-node completions, losses, and per-client stall
+#: counts (rack) or JBSQ ToR holds (datacenter). Any change to the
+#: sequential loop's event order, RNG consumption or fault handling
+#: moves at least one of these.
+FAST_TIER_PINS = {
+    "rack-random-light": (
+        ("0x1.229fe41f0d597p+9", "0x1.160e379ad7cd0p+9", "0x1.136c988649623p+10"),
+        [504, 485, 500, 511],
+        0,
+        [0, 0, 0, 0],
+    ),
+    "rack-random-28": (
+        ("0x1.c337ee5d60b41p+10", "0x1.fe26020a748a0p+9", "0x1.e241574b7705cp+11"),
+        [859, 470, 373, 298],
+        0,
+        [0, 269, 199, 204],
+    ),
+    "rack-jsq2-fresh": (
+        ("0x1.26e1897689905p+9", "0x1.1a011dd26bc74p+9", "0x1.15d40e6b3fbf1p+10"),
+        [503, 495, 496, 506],
+        0,
+        [0, 0, 0, 0],
+    ),
+    "rack-jsq2-piggyback": (
+        ("0x1.320d7cfa6a6f7p+9", "0x1.22ef86f55fd48p+9", "0x1.1daebe1d834a6p+10"),
+        [499, 494, 498, 509],
+        0,
+        [0, 0, 0, 0],
+    ),
+    "rack-jsq2-broadcast": (
+        ("0x1.db679c5c225b3p+9", "0x1.9c331e6295b70p+9", "0x1.2f6b108adbceep+11"),
+        [502, 510, 473, 515],
+        0,
+        [0, 0, 0, 0],
+    ),
+    "rack-sed": (
+        ("0x1.26832bd1b96dfp+9", "0x1.188715b08f998p+9", "0x1.15d2753d2180fp+10"),
+        [505, 500, 495, 500],
+        0,
+        [0, 0, 0, 0],
+    ),
+    "rack-16x1-jsq2": (
+        ("0x1.26541a5c52f14p+10", "0x1.d4be337c71fddp+9", "0x1.f7f28a86edc3bp+11"),
+        [498, 490, 500, 512],
+        0,
+        [0, 0, 0, 0],
+    ),
+    "rack-faults": (
+        ("0x1.2ed301318ab04p+9", "0x1.18979e5bf0f00p+9", "0x1.592363833f929p+10"),
+        [496, 354, 468, 384, 479, 492],
+        327,
+        [0, 0, 0, 0, 0, 0],
+    ),
+    "dc-flat-random": (
+        ("0x1.2a78b3835b0fdp+9", "0x1.1d7c82f7c5900p+9", "0x1.137c09f835ed9p+10"),
+        [465, 497, 491, 533, 473, 484, 511, 541, 480, 479, 488, 487, 523, 540, 513, 495],
+        0,
+        0,
+    ),
+    "dc-racksched": (
+        ("0x1.1fd5d98f732afp+9", "0x1.13402dd58aff8p+9", "0x1.091a915123001p+10"),
+        [501, 502, 512, 506, 501, 490, 496, 511, 506, 496, 501, 493, 496, 507, 491, 491],
+        0,
+        0,
+    ),
+    "dc-jbsq-holds": (
+        ("0x1.1e1554144cbdep+15", "0x1.b36965b675d7cp+14", "0x1.8c8b60cac6de7p+16"),
+        [862, 863, 852, 835, 497, 490, 485, 484, 360, 363, 352, 356, 300, 301, 295, 305],
+        0,
+        7936,
+    ),
+    "dc-nanopu": (
+        ("0x1.8affab1b3b6fdp+8", "0x1.71ce29d87fd00p+8", "0x1.b808b1f07ff72p+9"),
+        [521, 494, 507, 490, 490, 509, 521, 496, 490, 512, 505, 479, 482, 517, 506, 481],
+        0,
+        0,
+    ),
+    "dc-rack-power-loss": (
+        ("0x1.20608923cb4b5p+9", "0x1.12f2e10f85960p+9", "0x1.096ca0747483bp+10"),
+        [434, 438, 434, 435, 298, 297, 303, 304, 435, 437, 440, 432, 433, 430, 427, 434],
+        1589,
+        0,
+    ),
+}
+_PIN_REQUESTS = 500
+_PIN_HORIZON_NS = _PIN_REQUESTS / 20.0 * 1e3
+
+
+def _rack_pin_kwargs(case):
+    from repro.faults import FaultPlan
+    from repro.faults.plan import FabricDegradation, NodeCrash, NodeSlowdown
+
+    horizon = _PIN_HORIZON_NS
+    plan = FaultPlan(events=(
+        NodeCrash(node=1, at_ns=0.2 * horizon, outage_ns=0.3 * horizon),
+        NodeSlowdown(node=3, at_ns=0.1 * horizon, duration_ns=0.5 * horizon,
+                     factor=0.4),
+        FabricDegradation(at_ns=0.4 * horizon, duration_ns=0.3 * horizon,
+                          drop_prob=0.05, spike_prob=0.1, spike_ns=1500.0),
+    ))
+    return {
+        "random-light": dict(num_nodes=4, policy="random", per_node_mrps=8.0),
+        "random-28": dict(num_nodes=4, policy="random", skew=0.9,
+                          per_node_mrps=28.0),
+        "jsq2-fresh": dict(num_nodes=4, policy="jsq2", signal="fresh",
+                           per_node_mrps=24.0),
+        "jsq2-piggyback": dict(num_nodes=4, policy="jsq2", signal="piggyback",
+                               per_node_mrps=24.0),
+        "jsq2-broadcast": dict(num_nodes=4, policy="jsq2",
+                               signal="broadcast:2000", per_node_mrps=24.0),
+        "sed": dict(num_nodes=4, policy="sed", skew=0.5, per_node_mrps=24.0),
+        "16x1-jsq2": dict(num_nodes=4, policy="jsq2", scheme="16x1",
+                          per_node_mrps=20.0),
+        "faults": dict(num_nodes=6, policy="jsq2", per_node_mrps=20.0,
+                       faults=plan),
+    }[case]
+
+
+def _dc_pin_kwargs(case, topology):
+    from repro.datacenter import rack_power_loss
+
+    horizon = _PIN_HORIZON_NS
+    return {
+        "flat-random": dict(hierarchy="flat", policy="random",
+                            per_node_mrps=22.0),
+        "racksched": dict(hierarchy="racksched", policy="jsq2", skew=0.5,
+                          per_node_mrps=24.0),
+        "jbsq-holds": dict(hierarchy="jbsq", policy="random", skew=0.8,
+                           jbsq_k=4, per_node_mrps=26.0),
+        "nanopu": dict(hierarchy="nanopu", policy="jsq2", per_node_mrps=20.0),
+        "rack-power-loss": dict(
+            hierarchy="racksched", policy="jsq2", per_node_mrps=20.0,
+            faults=rack_power_loss(topology, rack=1, at_ns=0.3 * horizon,
+                                   outage_ns=0.4 * horizon),
+        ),
+    }[case]
+
+
+def _fingerprint(result):
+    aggregate = result.aggregate
+    return (
+        (aggregate.mean.hex(), aggregate.p50.hex(), aggregate.p99.hex()),
+        list(result.per_node_completed),
+        int(result.lost),
+    )
+
+
+class TestFastTierPins:
+    @pytest.mark.parametrize(
+        "case", [name[5:] for name in FAST_TIER_PINS if name.startswith("rack-")]
+    )
+    def test_rack_outputs_pinned(self, case):
+        result = simulate_rack_fast(
+            requests_per_node=_PIN_REQUESTS, seed=3, **_rack_pin_kwargs(case)
+        )
+        *expected, stalls = FAST_TIER_PINS["rack-" + case]
+        assert _fingerprint(result) == tuple(expected)
+        assert [
+            round(fraction * _PIN_REQUESTS) for fraction in result.stall_fractions
+        ] == stalls
+
+    @pytest.mark.parametrize(
+        "case", [name[3:] for name in FAST_TIER_PINS if name.startswith("dc-")]
+    )
+    def test_datacenter_outputs_pinned(self, case):
+        from repro.datacenter import DatacenterTopology, simulate_datacenter_fast
+
+        topology = DatacenterTopology(4, 4)
+        audit = {}
+        result = simulate_datacenter_fast(
+            topology, requests_per_node=_PIN_REQUESTS, seed=3, _audit=audit,
+            **_dc_pin_kwargs(case, topology),
+        )
+        *expected, holds = FAST_TIER_PINS["dc-" + case]
+        assert _fingerprint(result) == tuple(expected)
+        assert audit["holds"] == holds
 
 
 class TestDesFastEquivalence:
