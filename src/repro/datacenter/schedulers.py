@@ -30,11 +30,12 @@ cannot drift between tiers.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..rack.choice import draw_distinct, draw_index, pick_min
 from .topology import DatacenterTopology
 
 __all__ = [
@@ -78,7 +79,8 @@ def _parse_policy(policy: str) -> tuple:
 
 
 class DatacenterScheduler:
-    """Base: Zipf rack popularity + shared tie-break/selection helpers.
+    """Base: Zipf rack popularity; every decision composes the
+    :mod:`repro.rack.choice` kernel (draw, distinct draws, argmin).
 
     ``believe`` is the per-node outstanding view and ``rack_believe``
     the per-rack aggregate (dispatched + ToR-held); both engines own
@@ -106,6 +108,7 @@ class DatacenterScheduler:
         cumulative[-1] = 1.0
         #: Plain-float cumulative rack popularity, ``bisect``-friendly.
         self.rack_cumulative: List[float] = [float(v) for v in cumulative]
+        self.racks = range(topology.num_racks)
         self.capacities: Optional[List[float]] = None
         self.rack_capacities: Optional[List[float]] = None
 
@@ -127,35 +130,6 @@ class DatacenterScheduler:
             for rack in range(topo.num_racks)
         ]
 
-    def _sample_rack(self, rng: np.random.Generator) -> int:
-        position = bisect_right(self.rack_cumulative, float(rng.random()))
-        return min(position, self.topology.num_racks - 1)
-
-    def _sample_distinct_racks(self, count: int, rng) -> List[int]:
-        count = min(count, self.topology.num_racks)
-        chosen: List[int] = []
-        while len(chosen) < count:
-            rack = self._sample_rack(rng)
-            if rack not in chosen:
-                chosen.append(rack)
-        return chosen
-
-    @staticmethod
-    def _pick_min(candidates, score, rng) -> int:
-        """Argmin with a uniform random tie-break (matches the rack layer)."""
-        best = None
-        tied: List[int] = []
-        for candidate in candidates:
-            value = score(candidate)
-            if best is None or value < best:
-                best = value
-                tied = [candidate]
-            elif value == best:
-                tied.append(candidate)
-        if len(tied) == 1:
-            return tied[0]
-        return tied[int(rng.integers(0, len(tied)))]
-
     def choose(
         self,
         client: int,
@@ -166,6 +140,22 @@ class DatacenterScheduler:
         raise NotImplementedError
 
 
+class _OtherNodes(SequenceABC):
+    """Node ids ``0 .. num_nodes - 1`` except ``client``, without a copy."""
+
+    def __init__(self, num_nodes: int, client: int) -> None:
+        self.size = num_nodes - 1
+        self.client = client
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: int) -> int:
+        if not 0 <= index < self.size:
+            raise IndexError(index)
+        return index if index < self.client else index + 1
+
+
 class FlatScheduler(DatacenterScheduler):
     """No in-network scheduler: d-sampled client-side balancing."""
 
@@ -174,7 +164,7 @@ class FlatScheduler(DatacenterScheduler):
     def _sample_node(self, client: int, rng) -> int:
         """One candidate: popularity-weighted rack, uniform member != client."""
         topo = self.topology
-        rack = self._sample_rack(rng)
+        rack = draw_index(self.rack_cumulative, rng.random)
         members = topo.members(rack)
         if topo.rack_of(client) == rack:
             offset = int(rng.integers(0, topo.rack_size - 1))
@@ -185,20 +175,19 @@ class FlatScheduler(DatacenterScheduler):
     def choose(self, client, believe, rack_believe, rng) -> int:
         if self.mode == "random":
             return self._sample_node(client, rng)
-        candidates: List[int] = []
-        want = min(self.d, self.topology.num_nodes - 1)
-        while len(candidates) < want:
-            node = self._sample_node(client, rng)
-            if node not in candidates:
-                candidates.append(node)
+        # The pool (every other node) is only read once d reaches it.
+        pool = _OtherNodes(self.topology.num_nodes, client)
+        candidates = draw_distinct(
+            lambda: self._sample_node(client, rng), self.d, pool
+        )
+        score = believe
         if self.mode == "sed":
             capacities = self.capacities
-            return self._pick_min(
-                candidates,
-                lambda node: (believe[node] + 1.0) / capacities[node],
-                rng,
-            )
-        return self._pick_min(candidates, lambda node: believe[node], rng)
+            score = {
+                node: (believe[node] + 1.0) / capacities[node]
+                for node in candidates
+            }
+        return pick_min(candidates, score, rng.integers)
 
 
 class TwoLevelScheduler(DatacenterScheduler):
@@ -219,30 +208,29 @@ class TwoLevelScheduler(DatacenterScheduler):
         self.bound_k = bound_k
 
     def choose_rack(self, client, rack_believe, rng) -> int:
+        cumulative = self.rack_cumulative
+        random = rng.random
         if self.mode == "random":
-            return self._sample_rack(rng)
+            return draw_index(cumulative, random)
         if self.mode == "jsq":
-            candidates = self._sample_distinct_racks(self.d, rng)
-            return self._pick_min(
-                candidates, lambda rack: rack_believe[rack], rng
+            candidates = draw_distinct(
+                lambda: draw_index(cumulative, random), self.d, self.racks
             )
+            return pick_min(candidates, rack_believe, rng.integers)
         # SED over *all* racks: the spine sees every ToR's aggregate, so
         # unlike a flat client it can afford the full capacity-aware scan.
-        capacities = self.rack_capacities
-        return self._pick_min(
-            range(self.topology.num_racks),
-            lambda rack: (rack_believe[rack] + 1.0) / capacities[rack],
-            rng,
-        )
+        score = [
+            (load + 1.0) / capacity
+            for load, capacity in zip(rack_believe, self.rack_capacities)
+        ]
+        return pick_min(self.racks, score, rng.integers)
 
     def choose_member(self, rack, client, believe, rng) -> int:
         """ToR-local JSQ over the rack's members (client excluded)."""
         members = self.topology.members(rack)
         if self.topology.rack_of(client) == rack:
-            candidates = [node for node in members if node != client]
-        else:
-            candidates = members
-        return self._pick_min(candidates, lambda node: believe[node], rng)
+            members = [node for node in members if node != client]
+        return pick_min(members, believe, rng.integers)
 
     def choose(self, client, believe, rack_believe, rng) -> int:
         rack = self.choose_rack(client, rack_believe, rng)

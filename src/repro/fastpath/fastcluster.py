@@ -54,7 +54,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
 from collections import defaultdict, deque
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
@@ -64,6 +63,7 @@ import numpy as np
 from ..cluster.cluster import ClusterResult
 from ..metrics import LatencySummary
 from ..queueing.fastsim import simulate_fifo_queue
+from ..rack.choice import pick_min
 from ..rack.policies import PowerOfD, ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
@@ -918,30 +918,17 @@ def _rack_rules(
     capacities = {
         node: cores[node] * float(speeds[node]) for node in range(num_nodes)
     }
-    peers_of = [
-        [int(node) for node in destinations.peers_of(client)]
-        for client in range(num_nodes)
-    ]
     period = signal_obj.period_ns if is_broadcast else 0.0
     next_tick = period
     snap = [0] * num_nodes
     integers = route_rng.integers
-    rng_random = route_rng.random
     choose = policy_obj.choose
 
-    # JSQ(d) dominates the sequential traffic (ext-rack, ext-scale); an
-    # inlined decision loop replays PowerOfD.choose's *exact* variate
-    # sequence (same rejection sampling, same tie-break draws) on flat
-    # lists — no per-event estimates dict, and ``bisect`` instead of a
-    # scalar ``np.searchsorted`` per candidate. Equivalence is pinned by
+    # JSQ(d) dominates the sequential traffic (ext-rack, ext-scale): the
+    # same kernel calls PowerOfD.choose makes (same variate sequence),
+    # straight on ``believe`` with no per-event estimates dict. Pinned by
     # tests/test_fastpath.py against the policy-object path.
-    jsq_d = None
-    if isinstance(policy_obj, PowerOfD):
-        jsq_d = policy_obj.d
-        jsq_cumulative = [
-            [float(value) for value in destinations.cumulative_of(client)]
-            for client in range(num_nodes)
-        ]
+    jsq_d = policy_obj.d if isinstance(policy_obj, PowerOfD) else None
 
     def route(index: int, client: int, now: float) -> int:
         nonlocal snap, next_tick
@@ -955,20 +942,11 @@ def _rack_rules(
         else:
             believe = outstanding
         if jsq_d is not None:
-            cumulative = jsq_cumulative[client]
-            peers = peers_of[client]
-            last = len(cumulative) - 1
-            chosen: List[int] = []
-            while len(chosen) < jsq_d:
-                position = bisect_right(cumulative, rng_random())
-                candidate = peers[position if position < last else last]
-                if candidate not in chosen:
-                    chosen.append(candidate)
-            best = min(believe[node] for node in chosen)
-            tied = [node for node in chosen if believe[node] == best]
-            dst = tied[0] if len(tied) == 1 else tied[int(integers(0, len(tied)))]
+            chosen = destinations.sample_distinct(client, jsq_d, route_rng)
+            dst = pick_min(chosen, believe, integers)
         else:
-            estimates = {node: float(believe[node]) for node in peers_of[client]}
+            peers = destinations.peers_of(client)
+            estimates = {node: float(believe[node]) for node in peers}
             dst = choose(client, destinations, estimates, capacities, route_rng)
         errors[index] = abs(float(believe[dst]) - outstanding[dst])
         return dst

@@ -17,6 +17,8 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
+from ..rack.choice import draw_distinct, pick_min
+
 __all__ = [
     "Router",
     "RandomRouter",
@@ -76,19 +78,12 @@ class JSQRouter(Router):
     name = "jsq"
 
     def choose(self, queue_lengths, idle_servers, rng):
-        shortest = min(queue_lengths)
-        candidates = [
-            index
-            for index, length in enumerate(queue_lengths)
-            if length == shortest
-        ]
-        if len(candidates) == 1:
-            return candidates[0]
-        return int(candidates[rng.integers(0, len(candidates))])
+        return pick_min(range(len(queue_lengths)), queue_lengths, rng.integers)
 
 
 class PowerOfDRouter(Router):
-    """Power-of-d choices [Bramson et al.]: sample d, pick the shortest."""
+    """Power-of-d choices [Bramson et al.]: the shortest of d distinct
+    uniformly drawn queues, ties at random."""
 
     name = "power_of_d"
 
@@ -99,13 +94,11 @@ class PowerOfDRouter(Router):
         self.name = f"power_of_{d}"
 
     def choose(self, queue_lengths, idle_servers, rng):
-        num_queues = len(queue_lengths)
-        samples = rng.integers(0, num_queues, size=min(self.d, num_queues))
-        best = int(samples[0])
-        for queue_index in samples[1:]:
-            if queue_lengths[queue_index] < queue_lengths[best]:
-                best = int(queue_index)
-        return best
+        queues = range(len(queue_lengths))
+        candidates = draw_distinct(
+            lambda: int(rng.integers(0, len(queues))), self.d, queues
+        )
+        return pick_min(candidates, queue_lengths, rng.integers)
 
 
 class JIQRouter(Router):

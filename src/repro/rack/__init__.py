@@ -11,6 +11,9 @@ still win when the rack-level router is smart, dumb, or stale?
 
 Pieces:
 
+* :mod:`repro.rack.choice` — the power-of-d kernel (popularity draw,
+  distinct candidates, argmin with random ties) every load-aware
+  router composes;
 * :mod:`repro.rack.policies` — inter-server routing rules (uniform
   random, round-robin, JSQ(d), shortest-expected-delay) plus the
   Zipf destination-popularity model;

@@ -19,6 +19,7 @@ Policies are deliberately simple and classic:
 * :class:`ShortestExpectedDelay` — over *all* peers, minimize
   ``(estimated load + 1) / capacity``, the heterogeneity-aware rule.
 
+JSQ(d) and SED are compositions of the :mod:`repro.rack.choice` kernel.
 ``make_policy`` parses the spec strings the experiment driver sweeps
 (``"random"``, ``"rr"``, ``"jsq2"``, ``"jsq3"``, ``"sed"``).
 """
@@ -26,9 +27,11 @@ Policies are deliberately simple and classic:
 from __future__ import annotations
 
 import abc
-from typing import AbstractSet, Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .choice import draw_distinct, draw_index, pick_min
 
 __all__ = [
     "RackPolicy",
@@ -61,22 +64,21 @@ class ZipfDestinations:
         weights = np.array(
             [1.0 / (rank + 1.0) ** skew for rank in range(num_nodes)]
         )
-        #: Per-client peer lists, raw weights, and cumulative weights.
-        self._peers: List[np.ndarray] = []
+        #: Per-client plain-int peer lists, raw weights, and plain-float
+        #: cumulative weights (what :func:`draw_index` bisects).
+        self._peers: List[List[int]] = []
         self._weights: List[np.ndarray] = []
-        self._cumulative: List[np.ndarray] = []
+        self._cumulative: List[List[float]] = []
         for client in range(num_nodes):
-            peers = np.array(
-                [node for node in range(num_nodes) if node != client]
-            )
+            peers = [node for node in range(num_nodes) if node != client]
             peer_weights = weights[peers]
             self._peers.append(peers)
             self._weights.append(peer_weights)
             self._cumulative.append(
-                np.cumsum(peer_weights / peer_weights.sum())
+                np.cumsum(peer_weights / peer_weights.sum()).tolist()
             )
 
-    def peers_of(self, client: int) -> Sequence[int]:
+    def peers_of(self, client: int) -> List[int]:
         return self._peers[client]
 
     def cumulative_of(self, client: int) -> np.ndarray:
@@ -86,62 +88,51 @@ class ZipfDestinations:
         one ``searchsorted`` against this array instead of one scalar
         :meth:`sample` call per RPC.
         """
-        return self._cumulative[client]
+        return np.asarray(self._cumulative[client])
+
+    def _restrict(
+        self, client: int, allowed: Optional[Collection[int]] = None
+    ) -> Tuple[List[int], List[float]]:
+        """``(pool, cumulative)`` for one decision over the allowed peers.
+
+        Popularity renormalizes over the peers in ``allowed`` (e.g.
+        suspected servers excluded). ``allowed=None``, one as large as
+        the peer list (candidate sets are subsets of it), or one keeping
+        no peer gives the precomputed full lists.
+        """
+        peers = self._peers[client]
+        keep = None
+        if allowed is not None and len(allowed) != len(peers):
+            keep = [i for i, node in enumerate(peers) if node in allowed]
+        if not keep:
+            return peers, self._cumulative[client]
+        weights = self._weights[client][keep]
+        cumulative = np.cumsum(weights / weights.sum()).tolist()
+        return [peers[i] for i in keep], cumulative
 
     def sample(
         self,
         client: int,
         rng: np.random.Generator,
-        allowed: Optional[AbstractSet[int]] = None,
+        allowed: Optional[Collection[int]] = None,
     ) -> int:
-        """Draw one destination for ``client`` by popularity.
-
-        With ``allowed`` (a restricted candidate set, e.g. suspected
-        servers excluded), popularity renormalizes over the allowed
-        peers. ``allowed=None`` keeps the exact historical draw
-        sequence (one uniform variate against precomputed cumulative
-        weights).
-        """
-        if allowed is None:
-            cumulative = self._cumulative[client]
-            index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            return int(self._peers[client][min(index, len(cumulative) - 1)])
-        peers = self._peers[client]
-        keep = [i for i, node in enumerate(peers) if int(node) in allowed]
-        if not keep:
-            keep = list(range(len(peers)))
-        weights = self._weights[client][keep]
-        cumulative = np.cumsum(weights / weights.sum())
-        index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        return int(peers[keep[min(index, len(cumulative) - 1)]])
+        """Draw one destination for ``client`` by popularity."""
+        pool, cumulative = self._restrict(client, allowed)
+        return pool[draw_index(cumulative, rng.random)]
 
     def sample_distinct(
         self,
         client: int,
         count: int,
         rng: np.random.Generator,
-        allowed: Optional[AbstractSet[int]] = None,
-    ) -> List[int]:
-        """Draw ``count`` distinct destinations by popularity.
-
-        Rejection-samples (cheap for rack-sized fan-outs); falls back to
-        the full candidate list when ``count`` exhausts it.
-        """
-        peers = self._peers[client]
-        if allowed is not None:
-            pool = [int(node) for node in peers if int(node) in allowed]
-            if not pool:
-                pool = [int(node) for node in peers]
-        else:
-            pool = [int(node) for node in peers]
-        if count >= len(pool):
-            return pool
-        chosen: List[int] = []
-        while len(chosen) < count:
-            candidate = self.sample(client, rng, allowed)
-            if candidate not in chosen:
-                chosen.append(candidate)
-        return chosen
+        allowed: Optional[Collection[int]] = None,
+    ) -> Sequence[int]:
+        """Draw ``count`` distinct destinations by popularity."""
+        pool, cumulative = self._restrict(client, allowed)
+        random = rng.random
+        return draw_distinct(
+            lambda: pool[draw_index(cumulative, random)], count, pool
+        )
 
 
 class RackPolicy(abc.ABC):
@@ -174,28 +165,13 @@ class RackPolicy(abc.ABC):
         """
 
 
-def _restriction(
-    client: int, destinations: "ZipfDestinations", estimates: Dict[int, float]
-):
-    """The allowed-set for sampling, or None for the full peer set.
-
-    Returning None on the unrestricted (common) case keeps the
-    historical RNG draw sequence bit-identical.
-    """
-    if len(estimates) == len(destinations.peers_of(client)):
-        return None
-    return estimates.keys()
-
-
 class UniformRandomPolicy(RackPolicy):
     """Popularity-weighted random spray (uniform when skew is 0)."""
 
     label = "random"
 
     def choose(self, client, destinations, estimates, capacities, rng):
-        return destinations.sample(
-            client, rng, _restriction(client, destinations, estimates)
-        )
+        return destinations.sample(client, rng, estimates)
 
 
 class RoundRobinPolicy(RackPolicy):
@@ -217,25 +193,13 @@ class RoundRobinPolicy(RackPolicy):
             # Advance past excluded (suspected) peers; at most one full
             # cycle, falling back to the raw cursor if all are excluded.
             for _ in range(len(peers)):
-                node = int(peers[cursor % len(peers)])
+                node = peers[cursor % len(peers)]
                 cursor += 1
                 if node in estimates:
                     self._cursor[client] = cursor
                     return node
         self._cursor[client] = cursor + 1
-        return int(peers[cursor % len(peers)])
-
-
-def _argmin_with_random_ties(
-    candidates: Sequence[int],
-    score: Dict[int, float],
-    rng: np.random.Generator,
-) -> int:
-    best = min(score[node] for node in candidates)
-    tied = [node for node in candidates if score[node] == best]
-    if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(0, len(tied)))]
+        return peers[cursor % len(peers)]
 
 
 class PowerOfD(RackPolicy):
@@ -250,10 +214,8 @@ class PowerOfD(RackPolicy):
         self.label = f"jsq{d}"
 
     def choose(self, client, destinations, estimates, capacities, rng):
-        candidates = destinations.sample_distinct(
-            client, self.d, rng, _restriction(client, destinations, estimates)
-        )
-        return _argmin_with_random_ties(candidates, estimates, rng)
+        candidates = destinations.sample_distinct(client, self.d, rng, estimates)
+        return pick_min(candidates, estimates, rng.integers)
 
 
 class ShortestExpectedDelay(RackPolicy):
@@ -275,7 +237,7 @@ class ShortestExpectedDelay(RackPolicy):
             node: (estimate + 1.0) / capacities[node]
             for node, estimate in estimates.items()
         }
-        return _argmin_with_random_ties(list(score), score, rng)
+        return pick_min(list(score), score, rng.integers)
 
 
 def make_policy(spec: str) -> RackPolicy:

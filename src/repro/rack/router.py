@@ -234,14 +234,12 @@ class RackRouter:
         routing nowhere).
         """
         signal = self.signal
-        peers = self.destinations.peers_of(client)
+        candidates = self.destinations.peers_of(client)
         suspected = self.suspected
         if suspected:
-            candidates = [int(node) for node in peers if int(node) not in suspected]
-            if not candidates:
-                candidates = [int(node) for node in peers]
-        else:
-            candidates = [int(node) for node in peers]
+            candidates = [
+                node for node in candidates if node not in suspected
+            ] or candidates
         estimates = {node: signal.estimate(client, node) for node in candidates}
         dst = self.policy.choose(
             client, self.destinations, estimates, self.capacities, rng

@@ -86,12 +86,19 @@ class TestFastDeterminism:
             != full.points[1].achieved_throughput
         )
 
-    def test_inlined_jsq_matches_policy_object_path(self, monkeypatch):
-        """The bisect-based JSQ(d) loop must replay PowerOfD.choose's
-        exact variate sequence; defeating the isinstance gate forces the
-        generic path, and the results must be bit-identical."""
+    @pytest.mark.parametrize(
+        "num_nodes, policy", [(4, "jsq2"), (2, "jsq2"), (3, "jsq3")]
+    )
+    def test_inlined_jsq_matches_policy_object_path(
+        self, monkeypatch, num_nodes, policy
+    ):
+        """The fast tier's JSQ(d) path (kernel calls straight on the
+        believed loads) must replay PowerOfD.choose's exact variate
+        sequence; defeating the isinstance gate forces the
+        generic path, and the results must be bit-identical. d reaching
+        the peer count (2 nodes at jsq2, 3 at jsq3) takes every peer."""
         kwargs = dict(
-            num_nodes=4, policy="jsq2", signal="piggyback",
+            num_nodes=num_nodes, policy=policy, signal="piggyback",
             per_node_mrps=24.0, requests_per_node=600, seed=5,
         )
         inlined = simulate_rack_fast(**kwargs)
