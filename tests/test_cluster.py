@@ -1,9 +1,13 @@
 """Multi-node cluster simulation."""
 
+import hashlib
+
 import pytest
 
 from repro.balancing import Partitioned, SingleQueue
 from repro.cluster import Cluster, PodFabric, UniformFabric
+from repro.rack import RackRouter
+from repro.tracing import TraceConfig
 from repro.workloads import SyntheticWorkload
 
 
@@ -159,3 +163,123 @@ class TestClusterInterference:
         result = cluster.run(per_node_mrps=18.0, requests_per_node=3_000)
         # Two degraded cores out of 16: single-queue dispatch hides it.
         assert result.imbalance() < 1.25
+
+
+#: Fault-free DES cluster runs, pinned bit for bit. Each builds a
+#: ``Cluster`` and runs it at ``(per_node_mrps, requests_per_node)``.
+#: All but the heterogeneous case must keep stalling on credits: a
+#: queued send draws its wire ``msg_id`` (and with it the NI backend)
+#: when it is sent.
+_PIN_SCENARIOS = {
+    "stall-16x1": (
+        lambda: Cluster(num_nodes=4, scheme_factory=Partitioned, seed=5),
+        28.0,
+        1_000,
+    ),
+    # The 3 us fabric outlasts the 2 us broadcast period, so the drain
+    # rule (server completions, not client replies) sets the end time.
+    "broadcast": (
+        lambda: Cluster(
+            num_nodes=4,
+            seed=6,
+            fabric=UniformFabric(4, latency_ns=3_000.0),
+            router=RackRouter("jsq2", "broadcast:2000"),
+        ),
+        20.0,
+        1_000,
+    ),
+    "traced-16x1": (
+        lambda: Cluster(
+            num_nodes=4,
+            scheme_factory=Partitioned,
+            seed=7,
+            trace=TraceConfig(sample_period=4),
+        ),
+        28.0,
+        1_000,
+    ),
+    "hetero-telemetry": (
+        lambda: Cluster(
+            num_nodes=4,
+            seed=8,
+            core_counts=[16, 16, 8, 8],
+            speed_factors=[1, 1, 0.5, 2],
+            router=RackRouter("sed", "fresh"),
+            telemetry=True,
+        ),
+        15.0,
+        1_000,
+    ),
+}
+
+CLUSTER_PINS = {'broadcast': (('0x1.27c47e9fbcb08p+9',
+                '0x1.120995a6c4077p+10',
+                '0x1.8b0fcd6e9e065p+5'),
+               [1002, 1021, 1044, 933],
+               [883, 868, 880, 867],
+               None,
+               None),
+ 'hetero-telemetry': (('0x1.2ca5af8b5949ap+9',
+                       '0x1.28f67a5abecbfp+10',
+                       '0x1.cf708fcbf0aa2p+5'),
+                      [1257, 1263, 208, 1272],
+                      [0, 0, 0, 0],
+                      None,
+                      ['rack.outstanding[node0]',
+                       'rack.outstanding[node1]',
+                       'rack.outstanding[node2]',
+                       'rack.outstanding[node3]',
+                       'send_credits[node0]',
+                       'send_credits[node1]',
+                       'send_credits[node2]',
+                       'send_credits[node3]',
+                       'shared_cq[node0]',
+                       'shared_cq[node1]',
+                       'shared_cq[node2]',
+                       'shared_cq[node3]']),
+ 'stall-16x1': (('0x1.3e2ac1a457076p+11',
+                 '0x1.0dd8f33dd556cp+13',
+                 '0x1.4b4a4dc7c79d2p+6'),
+                [1010, 1021, 964, 1005],
+                [196, 40, 122, 126],
+                None,
+                None),
+ 'traced-16x1': (('0x1.483a9d50849a8p+11',
+                  '0x1.036e80398bd0cp+13',
+                  '0x1.4cb1168429f18p+6'),
+                 [994, 948, 1088, 970],
+                 [230, 239, 54, 254],
+                 'beb8ca84ba13d5f4',
+                 None)}
+
+
+def _cluster_fingerprint(cluster, result):
+    aggregate = result.aggregate
+    phases = None
+    if result.spans is not None:
+        phases = hashlib.sha256(
+            repr([trace.phases() for trace in result.spans.traces]).encode()
+        ).hexdigest()[:16]
+    return (
+        (
+            aggregate.mean.hex(),
+            aggregate.p99.hex(),
+            result.total_throughput_mrps.hex(),
+        ),
+        list(result.per_node_completed),
+        [node.stalled for node in cluster.nodes],
+        phases,
+        sorted(result.telemetry.series) if result.telemetry is not None else None,
+    )
+
+
+class TestFaultFreePins:
+    @pytest.mark.parametrize("case", sorted(_PIN_SCENARIOS))
+    def test_outputs_pinned(self, case):
+        make, mrps, requests = _PIN_SCENARIOS[case]
+        cluster = make()
+        result = cluster.run(per_node_mrps=mrps, requests_per_node=requests)
+        fingerprint = _cluster_fingerprint(cluster, result)
+        if case != "hetero-telemetry":
+            assert sum(fingerprint[2]) > 0, "scenario no longer stalls"
+        assert fingerprint == CLUSTER_PINS[case]
