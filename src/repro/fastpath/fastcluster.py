@@ -736,7 +736,7 @@ def simulate_rack_fast(
     ``sample_gaps`` — diurnal/flash thinning, MMPP redraws, population
     windows — one deterministic sweep per client. ``faults`` (a
     :class:`repro.faults.FaultPlan`) runs the materialized timeline
-    inside the sequential loop and populates the robust-mode result
+    inside the sequential loop and populates the fault-run result
     fields (``offered``/``lost``/``goodput_mrps``/``availability``/
     ``fault_stats``); both default to the legacy behaviour and leave
     the legacy RNG consumption untouched.

@@ -30,15 +30,21 @@ __all__ = [
 ]
 
 #: Trace timestamps are in microseconds; the simulator uses ns.
-_NS_TO_US = 1e-3
+NS_TO_US = 1e-3
 
 
-def _event(name: str, ts_ns: float, dur_ns: float, pid: int, tid: str, **args):
+def complete_event(
+    name: str, ts_ns: float, dur_ns: float, pid: int, tid: str, **args
+) -> dict:
+    """One complete ("ph": "X") event: a bar on track ``(pid, tid)``.
+
+    The one builder for every Perfetto exporter's bars.
+    """
     event = {
         "name": name,
         "ph": "X",  # complete event
-        "ts": ts_ns * _NS_TO_US,
-        "dur": max(dur_ns, 0.0) * _NS_TO_US,
+        "ts": ts_ns * NS_TO_US,
+        "dur": max(dur_ns, 0.0) * NS_TO_US,
         "pid": pid,
         "tid": tid,
     }
@@ -60,7 +66,7 @@ def chrome_trace_events(messages: Sequence) -> List[dict]:
             raise ValueError(f"message {msg.msg_id} has not completed")
         label = f"rpc {msg.msg_id} ({msg.label})"
         events.append(
-            _event(
+            complete_event(
                 label,
                 msg.t_arrival,
                 msg.t_reassembled - msg.t_arrival,
@@ -71,7 +77,7 @@ def chrome_trace_events(messages: Sequence) -> List[dict]:
             )
         )
         events.append(
-            _event(
+            complete_event(
                 label,
                 msg.t_reassembled,
                 msg.t_dispatch - msg.t_reassembled,
@@ -80,7 +86,7 @@ def chrome_trace_events(messages: Sequence) -> List[dict]:
             )
         )
         events.append(
-            _event(
+            complete_event(
                 label,
                 msg.t_dispatch,
                 msg.t_replenish - msg.t_dispatch,
@@ -113,7 +119,7 @@ def counter_track_events(
         {
             "name": name,
             "ph": "C",
-            "ts": t * _NS_TO_US,
+            "ts": t * NS_TO_US,
             "pid": pid,
             "args": {"value": v},
         }
@@ -150,6 +156,15 @@ def export_chrome_trace(
     events = chrome_trace_events(messages)
     if telemetry is not None:
         events.extend(telemetry_counter_events(telemetry))
+    return write_trace(events, destination)
+
+
+def write_trace(events: List[dict], destination: Union[str, IO[str]]) -> int:
+    """Write ``events`` as a Trace Event Format file; returns their count.
+
+    ``destination`` is a path or an open text file object. Every
+    Perfetto exporter in the repo writes through here.
+    """
     payload = {"traceEvents": events, "displayTimeUnit": "ns"}
     if hasattr(destination, "write"):
         json.dump(payload, destination)

@@ -45,7 +45,7 @@ class RouterStats:
     signal_error_count: int = 0
     #: Attempts the client abandoned (timeout) with outstanding corrected.
     abandoned: int = 0
-    #: Failure-detector activity (robust runs with suspicion enabled).
+    #: Failure-detector activity (fault runs with suspicion enabled).
     suspicions: int = 0
     readmissions: int = 0
     false_suspicions: int = 0
@@ -77,7 +77,7 @@ class RackRouter:
     skew:
         Zipf exponent of destination popularity (0 = uniform).
     suspect_after_ns:
-        Enables the failure detector (robust clusters only): a server
+        Enables the failure detector (fault runs only): a server
         not heard from for this long is *suspected* and removed from
         the routing candidate set until a heartbeat readmits it.
     heartbeat_period_ns:
@@ -150,8 +150,7 @@ class RackRouter:
         """Traffic is about to start (spawns broadcast processes)."""
         self.signal.start()
         cluster = self.cluster
-        injector = getattr(cluster, "injector", None)
-        if self.suspect_after_ns is not None and injector is not None:
+        if self.suspect_after_ns is not None and cluster.fault_plan is not None:
             period = self.heartbeat_period_ns
             if period is None:
                 period = self.suspect_after_ns / 4.0

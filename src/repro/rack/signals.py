@@ -125,16 +125,12 @@ class BroadcastSignal(LoadSignal):
             )
 
     def _broadcaster(self, server: int):
-        from ..sim import delayed_call
-
         cluster = self.router.cluster
         env = cluster.env
-        injector = getattr(cluster, "injector", None)
+        injector = cluster.injector
         while not cluster.traffic_drained():
             yield env.timeout(self.period_ns)
-            if injector is not None and (
-                not injector.node_up(server) or injector.signals_dark()
-            ):
+            if not injector.node_up(server) or injector.signals_dark():
                 # A down server broadcasts nothing; a signal blackout
                 # silences the whole signal plane. The view only ages.
                 continue
@@ -143,10 +139,7 @@ class BroadcastSignal(LoadSignal):
                 if client == server:
                     continue
                 delay = cluster.fabric.latency_ns(server, client)
-                if injector is not None:
-                    injector.transmit(delay, self._deliver, client, server, load)
-                else:
-                    delayed_call(env, delay, self._deliver, client, server, load)
+                injector.transmit(delay, self._deliver, client, server, load)
 
     def _deliver(self, client: int, server: int, load: float) -> None:
         self.estimates[client][server] = load

@@ -6,17 +6,8 @@ simulator, workloads) are built on this package.
 """
 
 from .engine import EmptySchedule, Environment
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Interrupt,
-    PENDING,
-    Process,
-    Timeout,
-)
-from .resources import PriorityStore, Request, Resource, Store
+from .events import Event, Interrupt, PENDING, Process, Timeout
+from .resources import Store
 from .rng import RngRegistry
 from .util import delayed_call
 
@@ -26,15 +17,9 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AnyOf",
-    "AllOf",
     "Interrupt",
     "PENDING",
     "Store",
-    "PriorityStore",
-    "Resource",
-    "Request",
     "RngRegistry",
     "delayed_call",
 ]

@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Callback, Event, Process, Timeout
+from .events import Callback, Event, Process, Timeout
 
 __all__ = ["Environment", "EmptySchedule"]
 
@@ -130,14 +130,6 @@ class Environment:
         heappush(
             self._queue, (self._now + delay, _NORMAL, self._next_eid(), event)
         )
-
-    def any_of(self, events: List[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: List[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
 

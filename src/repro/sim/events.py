@@ -26,9 +26,6 @@ __all__ = [
     "Callback",
     "Timeout",
     "Process",
-    "Condition",
-    "AnyOf",
-    "AllOf",
     "Interrupt",
     "PENDING",
 ]
@@ -158,14 +155,6 @@ class Event:
             else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-    # Support ``yield evt1 | evt2`` and ``yield evt1 & evt2``.
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
 
 
 class Callback(Event):
@@ -306,9 +295,9 @@ class Process(Event):
             except ValueError:
                 pass
             else:
-                # We abandoned a still-pending claim (a Store get/put
-                # or a Resource request): let its owner withdraw it so
-                # it cannot consume an item/slot nobody will receive.
+                # We abandoned a still-pending claim (a Store get/put):
+                # let its owner withdraw it so it cannot consume an
+                # item nobody will receive.
                 abandon = getattr(self._target, "_abandon", None)
                 if abandon is not None:
                     abandon()
@@ -348,70 +337,3 @@ class Process(Event):
 
         env._active_process = None
 
-
-class Condition(Event):
-    """Composite event over a list of events.
-
-    Triggers when ``evaluate(events, done_count)`` returns True, with a
-    dict mapping each *triggered* constituent event to its value. If any
-    constituent fails, the condition fails with the same exception.
-    """
-
-    __slots__ = ("_events", "_done", "_evaluate")
-
-    def __init__(
-        self,
-        env: "Environment",  # noqa: F821
-        events: List[Event],
-        evaluate: Callable[[List[Event], int], bool],
-    ) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._done = 0
-        self._evaluate = evaluate
-        for evt in self._events:
-            if evt.env is not env:
-                raise ValueError("events belong to different environments")
-        if not self._events:
-            self.succeed({})
-            return
-        for evt in self._events:
-            evt.add_callback(self._check)
-
-    def _collect_values(self) -> dict:
-        # Only *processed* events count: a Timeout is "triggered" from
-        # creation (its value is pre-set) but has not occurred until the
-        # event loop processes it.
-        return {
-            evt: evt._value
-            for evt in self._events
-            if evt._processed and evt._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._done += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._done):
-            self.succeed(self._collect_values())
-
-
-class AnyOf(Condition):
-    """Condition that triggers when any constituent event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: List[Event]) -> None:  # noqa: F821
-        super().__init__(env, events, lambda events, done: done >= 1)
-
-
-class AllOf(Condition):
-    """Condition that triggers when all constituent events trigger."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: List[Event]) -> None:  # noqa: F821
-        super().__init__(env, events, lambda events, done: done == len(events))

@@ -1,26 +1,19 @@
-"""Shared-resource primitives built on the event kernel.
+"""Shared-resource primitive built on the event kernel.
 
-Three primitives cover every synchronization pattern in the models:
-
-* :class:`Store` — an (optionally bounded) FIFO buffer of items.
-  Queue pairs (WQs/CQs), the shared completion queue, and per-core
-  receive queues are all Stores.
-* :class:`PriorityStore` — a Store that hands out the smallest item
-  first; used where ordering matters (e.g. priority dispatch ablation).
-* :class:`Resource` — ``capacity`` identical slots with FIFO waiters;
-  the MCS-lock contention model is a ``Resource(capacity=1)``.
+:class:`Store` — an (optionally bounded) FIFO buffer of items. Queue
+pairs (WQs/CQs), the shared completion queue, and per-core receive
+queues are all Stores.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Deque, Generic, List, Optional, TypeVar
 
 from .engine import Environment
 from .events import Event
 
-__all__ = ["Store", "PriorityStore", "Resource", "Request"]
+__all__ = ["Store"]
 
 T = TypeVar("T")
 
@@ -160,123 +153,3 @@ class Store(Generic[T]):
                 get_event.succeed(self._do_get())
                 progress = True
 
-
-class PriorityStore(Store[T]):
-    """A Store that always yields the smallest item first.
-
-    Items must be mutually comparable; use ``(priority, seq, payload)``
-    tuples for stable ordering.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None) -> None:
-        super().__init__(env, capacity)
-        self._heap: List[T] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> List[T]:
-        return sorted(self._heap)
-
-    def _do_put(self, item: T) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _do_get(self) -> T:
-        return heapq.heappop(self._heap)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and (
-                self.capacity is None or len(self._heap) < self.capacity
-            ):
-                put_event = self._putters.popleft()
-                self._do_put(put_event.item)
-                put_event.succeed()
-                progress = True
-            if self._getters and self._heap:
-                get_event = self._getters.popleft()
-                get_event.succeed(self._do_get())
-                progress = True
-
-
-class Request(Event):
-    """A pending or held claim on a :class:`Resource`.
-
-    Usable as a context manager inside a process::
-
-        with resource.request() as req:
-            yield req
-            ... hold the resource ...
-        # released on exit
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.resource.release(self)
-
-    def _abandon(self) -> None:
-        """Withdraw a pending claim (the waiter was interrupted)."""
-        self.resource.release(self)
-
-
-class Resource:
-    """``capacity`` interchangeable slots with FIFO granting.
-
-    Models mutual exclusion (capacity 1 — e.g. the MCS lock's serialized
-    hand-off) and limited parallelism (capacity k).
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity!r}")
-        self.env = env
-        self.capacity = capacity
-        self._users: List[Request] = []
-        self._waiters: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
-        req = Request(self)
-        if len(self._users) < self.capacity:
-            self._users.append(req)
-            req.succeed()
-        else:
-            self._waiters.append(req)
-        return req
-
-    def release(self, request: Request) -> None:
-        """Release a held (or cancel a pending) request."""
-        try:
-            self._users.remove(request)
-        except ValueError:
-            # Not holding: cancel from the wait queue if still pending.
-            try:
-                self._waiters.remove(request)
-            except ValueError:
-                pass
-            return
-        if self._waiters:
-            nxt = self._waiters.popleft()
-            self._users.append(nxt)
-            nxt.succeed()

@@ -138,23 +138,19 @@ def export_unified_trace(
     ``telemetry`` a snapshot whose time series become counter tracks.
     Any subset may be given; returns the total event count.
     """
+    from ..metrics.chrometrace import (
+        chrome_trace_events,
+        telemetry_counter_events,
+        write_trace,
+    )
+
     events = []
     if messages:
-        from ..metrics.chrometrace import chrome_trace_events
-
         events.extend(chrome_trace_events(messages))
     if spans is not None:
         from ..tracing.export import span_trace_events
 
         events.extend(span_trace_events(spans))
     if telemetry is not None:
-        from ..metrics.chrometrace import telemetry_counter_events
-
         events.extend(telemetry_counter_events(telemetry))
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
-    if hasattr(destination, "write"):
-        json.dump(payload, destination)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-    return len(events)
+    return write_trace(events, destination)

@@ -167,8 +167,8 @@ def instrument_cluster(cluster: "Cluster", hub: TelemetryHub) -> TelemetryHub:
             for node_id in range(cluster.num_nodes)
         ]
         router.staleness_hist = hub.histogram(RACK_SIGNAL_ERROR)
-    injector = getattr(cluster, "injector", None)
-    if injector is not None:
+    if cluster.fault_plan is not None:
+        injector = cluster.injector
         # Fault-layer counter tracks: nodes currently down, plus the
         # cumulative retry / hedge / timeout / fabric-drop activity —
         # sampled from the injector's running stats so Perfetto shows

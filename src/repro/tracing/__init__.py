@@ -3,7 +3,7 @@
 The repo's telemetry (:mod:`repro.telemetry`) says *that* p99 moved;
 this package says *why*: a sampling span tracer threads through the
 DES hot paths — NI dispatch and queue-pair residency in ``arch``, the
-robust-client attempt lifecycle (timeout / retry / hedge / duplicate
+client attempt lifecycle (timeout / retry / hedge / duplicate
 reconciliation) in ``cluster``, router decisions and load-signal
 staleness in ``rack``, fault events in ``faults`` — and produces
 per-RPC span trees whose phase components sum exactly to the recorded

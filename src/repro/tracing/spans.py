@@ -124,7 +124,7 @@ class AttemptSpan:
         self.t_cqe: Optional[float] = None
         self.t_start: Optional[float] = None
         self.t_replenish: Optional[float] = None
-        #: Reply back at the client (robust mode) / credit returned (legacy).
+        #: Reply (and its send-slot credit) back at the client.
         self.t_reply: Optional[float] = None
         self.backend_id = -1
         self.core_id = -1

@@ -431,8 +431,7 @@ class TestPhenomena:
 class TestLegacyPathUntouched:
     def test_plain_cluster_has_no_fault_machinery(self):
         cluster = Cluster(num_nodes=2, seed=0)
-        assert not cluster.robust
-        assert cluster.injector is None and cluster.retry is None
+        assert cluster.fault_plan is None and cluster.retry is None
         result = cluster.run(per_node_mrps=10.0, requests_per_node=200)
         assert result.fault_stats is None and result.e2e is None
         assert result.offered == 0 and result.goodput_fraction == 1.0

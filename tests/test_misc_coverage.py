@@ -161,24 +161,25 @@ class TestAbandonSemantics:
         assert store.items == []
 
     def test_interrupted_resource_waiter_loses_place(self):
-        from repro.sim import Resource
-
+        # The resource is a one-token Store: a get claims it, a put
+        # hands it back.
         env = Environment()
-        resource = Resource(env, capacity=1)
+        lock = Store(env)
+        lock.put("token")
         grants = []
 
         def holder():
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10)
+            token = yield lock.get()
+            yield env.timeout(10)
+            yield lock.put(token)
 
         def waiter(name):
-            with resource.request() as req:
-                try:
-                    yield req
-                except Interrupt:
-                    return
-                grants.append(name)
+            try:
+                token = yield lock.get()
+            except Interrupt:
+                return
+            grants.append(name)
+            yield lock.put(token)
 
         env.process(holder())
         victim = env.process(waiter("victim"))
@@ -192,4 +193,4 @@ class TestAbandonSemantics:
         env.run()
         # The interrupted waiter never got the resource; the survivor did.
         assert grants == ["survivor"]
-        assert resource.count == 0
+        assert lock.items == ["token"]

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-)
+from repro.sim import Environment, Interrupt
 
 
 @pytest.fixture
@@ -236,61 +231,3 @@ class TestInterrupt:
         other_proc = env.process(other())
         assert env.run(other_proc) == (10.0, "late")
 
-
-class TestConditions:
-    def test_any_of_fires_on_first(self, env):
-        def proc():
-            first = env.timeout(3, "x")
-            second = env.timeout(5, "y")
-            values = yield first | second
-            return (env.now, sorted(values.values()))
-
-        assert env.run(env.process(proc())) == (3.0, ["x"])
-
-    def test_all_of_waits_for_all(self, env):
-        def proc():
-            first = env.timeout(3, "x")
-            second = env.timeout(5, "y")
-            values = yield first & second
-            return (env.now, sorted(values.values()))
-
-        assert env.run(env.process(proc())) == (5.0, ["x", "y"])
-
-    def test_empty_condition_triggers_immediately(self, env):
-        condition = AllOf(env, [])
-        env.run()
-        assert condition.processed
-        assert condition.value == {}
-
-    def test_condition_failure_propagates(self, env):
-        event = env.event()
-
-        def proc():
-            with pytest.raises(ValueError, match="boom"):
-                yield event | env.timeout(100)
-            return "caught"
-
-        process = env.process(proc())
-
-        def failer():
-            yield env.timeout(1)
-            event.fail(ValueError("boom"))
-
-        env.process(failer())
-        assert env.run(process) == "caught"
-
-    def test_cross_environment_events_rejected(self, env):
-        other = Environment()
-        with pytest.raises(ValueError, match="different environments"):
-            AnyOf(env, [env.event(), other.event()])
-
-    def test_anyof_excludes_pending_timeouts(self, env):
-        # Regression: a Timeout is "triggered" at creation; it must not
-        # appear in the condition's value dict until it actually fired.
-        def proc():
-            early = env.timeout(1, "early")
-            late = env.timeout(100, "late")
-            values = yield early | late
-            return list(values.values())
-
-        assert env.run(env.process(proc())) == ["early"]

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.sim import Environment, Store
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50))
@@ -38,59 +38,6 @@ def test_store_preserves_fifo_order(items):
     env.process(consumer())
     env.run()
     assert received == items
-
-
-@given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=60))
-@settings(max_examples=200, deadline=None)
-def test_priority_store_yields_sorted(items):
-    # PriorityStore yields the smallest *currently stored* item, so the
-    # globally sorted order is guaranteed only once all puts landed:
-    # the consumer starts after the producer finishes.
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-
-    def consumer(done_event):
-        yield done_event
-        for _ in items:
-            received.append((yield store.get()))
-
-    done = env.process(producer())
-    env.process(consumer(done))
-    env.run()
-    assert received == sorted(items)
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.lists(
-        st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=30
-    ),
-)
-@settings(max_examples=150, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, hold_times):
-    env = Environment()
-    resource = Resource(env, capacity=capacity)
-    concurrency = {"now": 0, "max": 0}
-
-    def worker(hold):
-        with resource.request() as req:
-            yield req
-            concurrency["now"] += 1
-            concurrency["max"] = max(concurrency["max"], concurrency["now"])
-            yield env.timeout(hold)
-            concurrency["now"] -= 1
-
-    for hold in hold_times:
-        env.process(worker(hold))
-    env.run()
-    assert concurrency["max"] <= capacity
-    assert concurrency["now"] == 0
-    assert resource.count == 0
 
 
 @given(

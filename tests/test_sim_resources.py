@@ -1,8 +1,8 @@
-"""Store, PriorityStore, and Resource semantics."""
+"""Store semantics."""
 
 import pytest
 
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.sim import Environment, Store
 
 
 @pytest.fixture
@@ -107,84 +107,3 @@ class TestStore:
         assert store.waiting_getters == 0
         assert store.items == ["b"]
 
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        results = []
-
-        def consumer():
-            for _ in range(3):
-                results.append((yield store.get()))
-
-        for item in (5, 1, 3):
-            store.put(item)
-        env.process(consumer())
-        env.run()
-        assert results == [1, 3, 5]
-
-    def test_items_sorted(self, env):
-        store = PriorityStore(env)
-        for item in (2, 9, 4):
-            store.put(item)
-        env.run()
-        assert store.items == [2, 4, 9]
-        assert len(store) == 3
-
-
-class TestResource:
-    def test_mutual_exclusion_and_fifo(self, env):
-        resource = Resource(env, capacity=1)
-        log = []
-
-        def worker(name, hold):
-            with resource.request() as req:
-                yield req
-                log.append((env.now, name))
-                yield env.timeout(hold)
-
-        env.process(worker("a", 4))
-        env.process(worker("b", 2))
-        env.process(worker("c", 1))
-        env.run()
-        assert log == [(0.0, "a"), (4.0, "b"), (6.0, "c")]
-
-    def test_capacity_two_allows_two_holders(self, env):
-        resource = Resource(env, capacity=2)
-        log = []
-
-        def worker(name):
-            with resource.request() as req:
-                yield req
-                log.append((env.now, name))
-                yield env.timeout(3)
-
-        for name in ("a", "b", "c"):
-            env.process(worker(name))
-        env.run()
-        assert log == [(0.0, "a"), (0.0, "b"), (3.0, "c")]
-
-    def test_count_and_queue_length(self, env):
-        resource = Resource(env, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        assert resource.count == 1
-        assert resource.queue_length == 1
-        resource.release(first)
-        assert resource.count == 1  # second was granted
-        assert resource.queue_length == 0
-        resource.release(second)
-        assert resource.count == 0
-
-    def test_cancel_pending_request(self, env):
-        resource = Resource(env, capacity=1)
-        held = resource.request()
-        pending = resource.request()
-        resource.release(pending)  # cancel while waiting
-        assert resource.queue_length == 0
-        resource.release(held)
-        assert resource.count == 0
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
