@@ -331,6 +331,46 @@ class TestFastTierPins:
         assert audit["holds"] == holds
 
 
+#: Every DES-anchored fast-tier constant, as ``float.hex`` (seed 0).
+CALIBRATION_PINS = {
+    "scheme-1x16-16": ("0x1.e8101ba77169ap+7", "0x0.0p+0"),
+    "scheme-16x1-16": ("0x1.915146d37e2fap+7", "0x1.e2173128f8750p+5"),
+    "scheme-1x16-8": ("0x1.e1d53ab5be266p+7", "0x0.0p+0"),
+    "profile-baseline": "0x1.e8101ba77169ap+7",
+    "profile-nanopu": "0x1.fd796381650d8p+5",
+    "chip-1x16": ("0x1.f3bbe9010199ep+7", "0x0.0p+0"),
+    "chip-16x1": ("0x1.b58e3cee6f7cap+7", "0x1.4c8d6ca2c57c0p+5"),
+    "service-herd-1x16": "0x1.14dd5a0038259p+9",
+}
+
+
+def _calibration_constants():
+    """Every pinned constant, computed through the public names."""
+    from repro.datacenter import calibrated_profile_overhead_ns
+    from repro.experiments.common import calibrate_mean_service_ns
+    from repro.fastpath.fastchip import calibrated_chip_profile
+
+    def hexes(values):
+        return tuple(float(value).hex() for value in values)
+
+    scheme = fastcluster.calibrated_scheme_profile
+    return {
+        "scheme-1x16-16": hexes(scheme("1x16", 16)),
+        "scheme-16x1-16": hexes(scheme("16x1", 16)),
+        "scheme-1x16-8": hexes(scheme("1x16", 8)),
+        "profile-baseline": calibrated_profile_overhead_ns("baseline", 16).hex(),
+        "profile-nanopu": calibrated_profile_overhead_ns("nanopu", 16).hex(),
+        "chip-1x16": hexes(calibrated_chip_profile("1x16")),
+        "chip-16x1": hexes(calibrated_chip_profile("16x1")),
+        "service-herd-1x16": calibrate_mean_service_ns("herd", "1x16", 0).hex(),
+    }
+
+
+class TestCalibrationPins:
+    def test_constants_pinned(self):
+        assert _calibration_constants() == CALIBRATION_PINS
+
+
 class TestDesFastEquivalence:
     """Tolerance bands from EXPERIMENTS.md ("Engine tiers"): the fast
     tier tracks the DES cluster within 15% on mean and p99 at the
