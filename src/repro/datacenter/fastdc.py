@@ -14,8 +14,8 @@ admit and release rules.
 
 Fidelity notes, matching the DES cross-check in ``ext-datacenter``:
 
-* **Calibration** — per-RPC fixed overhead comes from the same 2-node
-  light-load DES probe recipe as the rack engine, but run with the
+* **Calibration** — per-RPC fixed overhead comes from the rack
+  engine's DES probe (:mod:`repro.fastpath.calibrate`), run with the
   topology's :class:`~repro.datacenter.topology.NodeProfile` costs and
   chip config, so the ``nanopu`` profile is anchored against a DES
   that actually runs the reduced NI-bypass latencies (not an ad-hoc
@@ -40,11 +40,10 @@ from functools import lru_cache
 from typing import Dict, Optional
 
 from ..cluster.cluster import ClusterResult
+from ..fastpath.calibrate import calibrated_profile
 from ..fastpath.fastcluster import (
-    calibrated_scheme_profile,
     cluster_result,
     fault_timeline,
-    light_load_overhead_ns,
     run_sequential,
     sample_streams,
 )
@@ -61,24 +60,8 @@ __all__ = [
 def calibrated_profile_overhead_ns(
     profile_name: str, cores: int = 16, probe_seed: int = 0
 ) -> float:
-    """DES-anchored fixed per-RPC overhead for one node profile.
-
-    The baseline profile delegates to the rack engine's cached 1x16
-    probe (identical scenario), so datacenter and rack sweeps share one
-    calibration; other profiles run the probe with their own scaled
-    cost objects. 1x16's occupancy ≈ total overhead (the shared-queue
-    waits are insensitive to the occupancy/shift split — see
-    :func:`~repro.fastpath.fastcluster.calibrated_scheme_profile`), so
-    a single number suffices.
-    """
-    profile = node_profile(profile_name)
-    if profile == node_profile("baseline"):
-        occupancy, shift = calibrated_scheme_profile("1x16", cores, probe_seed)
-        return occupancy + shift
-    return light_load_overhead_ns(
-        "1x16", cores, probe_seed,
-        config=profile.chip_config(), costs=profile.costs(),
-    )
+    """Total 1x16 overhead of a node profile (:mod:`repro.fastpath.calibrate`)."""
+    return sum(calibrated_profile("cluster", "1x16", cores, profile_name, probe_seed))
 
 
 def simulate_datacenter_fast(
@@ -117,7 +100,7 @@ def simulate_datacenter_fast(
     profile = (
         node_profile("nanopu") if hierarchy == "nanopu" else topology.profile
     )
-    overhead = calibrated_profile_overhead_ns(profile.name, cores)
+    occupancy, shift = calibrated_profile("cluster", "1x16", cores, profile.name)
 
     scheduler = make_scheduler(
         hierarchy, topology, policy=policy, skew=skew, jbsq_k=jbsq_k
@@ -177,7 +160,7 @@ def simulate_datacenter_fast(
 
     dsts, sojourns, departures, dropped = run_sequential(
         times, clients, processing, route_rng, "1x16", [cores] * num_nodes,
-        speeds, [overhead] * num_nodes, [0.0] * num_nodes, timeline,
+        speeds, [occupancy] * num_nodes, [shift] * num_nodes, timeline,
         route, admit, release,
     )
 

@@ -98,27 +98,21 @@ def calibrate_mean_service_ns(
     one process pay for it once. Keyed on the scheme because measured S̄
     includes scheme-imposed dequeue overheads.
 
-    The probe routes through :func:`repro.runner.map_points` (as a
-    single task) so it also consults the on-disk result cache across
-    processes when caching is enabled.
+    The probe takes the fast tier's calibration route,
+    :func:`repro.fastpath.calibrate.run_calibration` (one
+    ``map_points`` task), so it also consults the on-disk result cache
+    across processes when caching is enabled.
     """
     from ..core import make_system
     from ..core.system import run_point_task
-    from ..runner import map_points
+    from ..fastpath.calibrate import run_calibration
 
     system = make_system(scheme, workload, seed=seed)
-    outcome = map_points(
+    result = run_calibration(
         run_point_task,
-        [(system, 1.0, num_requests, 0.1, system.seed)],
-        workers=1,
-        labels=[f"calibrate {scheme}/{workload} (seed {seed})"],
-        progress=False,
+        (system, 1.0, num_requests, 0.1, system.seed),
+        f"calibrate {scheme}/{workload} (seed {seed})",
     )
-    result = outcome.results[0]
-    if result is None:
-        raise RuntimeError(
-            f"calibration run failed: {'; '.join(outcome.findings())}"
-        )
     return result.mean_service_ns
 
 

@@ -239,12 +239,13 @@ def run_diurnal(
 
     chip_profiles: Optional[Dict[str, Tuple[float, float]]] = None
     if resolved != "des":
-        from ..fastpath import calibrated_chip_profile
+        from ..fastpath.calibrate import calibrated_profile
 
         # Both schemes' DES-anchored (occupancy, shift) splits, probed
-        # once here (lru-cached) so pool workers never rerun the DES.
+        # once here (lru- and result-cached) so pool workers never
+        # rerun the DES.
         chip_profiles = {
-            scheme: calibrated_chip_profile(scheme) for scheme in SCHEMES
+            scheme: calibrated_profile("chip", scheme) for scheme in SCHEMES
         }
 
     tasks: List[tuple] = []

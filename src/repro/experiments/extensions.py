@@ -36,6 +36,7 @@ from ..queueing import (
     simulate_preemptive_queue,
     simulate_routed_queues,
 )
+from ..queueing.fastsim import spray_fifo_departures
 from ..workloads import HerdWorkload, MicrobenchCosts
 from .common import ExperimentResult, get_profile
 
@@ -463,16 +464,9 @@ def run_bursts(
 
     def p99_ratio(arrivals: np.ndarray, services: np.ndarray) -> Dict[str, float]:
         warm = arrivals.size // 10
-        spray = np.random.default_rng(seed + 1).integers(0, 16, arrivals.size)
-        partitioned = np.empty(arrivals.size)
-        for queue in range(16):
-            mask = spray == queue
-            partitioned[mask] = (
-                simulate_fifo_queue(
-                    arrivals[mask], services[mask], 1, validate=False
-                )
-                - arrivals[mask]
-            )
+        partitioned = spray_fifo_departures(
+            arrivals, services, 16, 1, np.random.default_rng(seed + 1)
+        ) - arrivals
         single = simulate_fifo_queue(arrivals, services, 16, validate=False) - arrivals
         single_p99 = float(np.percentile(single[warm:], 99))
         partitioned_p99 = float(np.percentile(partitioned[warm:], 99))

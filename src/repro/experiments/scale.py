@@ -104,11 +104,12 @@ def _run_scale_task(task) -> Dict[str, object]:
     shaped = bool(task[7]) if len(task) > 7 else False
     process = _shaped_process(mrps, requests) if shaped else None
     if tier == "fluid":
-        from ..fastpath import calibrated_scheme_profile, simulate_cluster_fluid
+        from ..fastpath import simulate_cluster_fluid
+        from ..fastpath.calibrate import calibrated_profile
         from ..workloads import HerdWorkload
 
         workload = HerdWorkload()
-        overhead_ns, _shift = calibrated_scheme_profile("1x16", 16)
+        overhead_ns, _shift = calibrated_profile("cluster", "1x16", 16)
         result = simulate_cluster_fluid(
             num_nodes,
             policy=policy,

@@ -32,11 +32,7 @@ validity envelope of each tier are documented in EXPERIMENTS.md
 """
 
 from .fastchip import calibrated_chip_profile, fast_chip_point, fast_scheme_sweep
-from .fastcluster import (
-    calibrated_scheme_profile,
-    calibrated_service_overhead_ns,
-    simulate_rack_fast,
-)
+from .fastcluster import calibrated_scheme_profile, simulate_rack_fast
 from .fluid import fluid_tail_measure, fluid_transient_measure, simulate_cluster_fluid
 from .select import (
     DEFAULT_FLUID_THRESHOLD,
@@ -56,7 +52,6 @@ __all__ = [
     "arrival_capability",
     "calibrated_chip_profile",
     "calibrated_scheme_profile",
-    "calibrated_service_overhead_ns",
     "engine_supports",
     "fast_chip_point",
     "fast_scheme_sweep",

@@ -36,8 +36,9 @@ from ..balancing.software import DEFAULT_CRITICAL_NS
 from ..balancing import SoftwareSingleQueue
 from ..dists import Distribution
 from ..metrics import LatencySummary, SweepPoint, SweepResult
-from ..queueing.fastsim import poisson_arrivals, simulate_fifo_queue
+from ..queueing.fastsim import poisson_arrivals, simulate_fifo_queue, spray_fifo_departures
 from ..runner import task_seed
+from . import calibrate
 
 __all__ = [
     "calibrated_chip_profile",
@@ -47,28 +48,19 @@ __all__ = [
 
 _TOTAL_CORES = 16
 
-#: Mid-load probe for the single-chip occupancy split (~0.8x the HERD
-#: capacity of one 16-core chip — the regime the shaped sweeps peak in).
-_CHIP_PROBE_MRPS = 23.0
-_CHIP_PROBE_REQUESTS = 1500
 
+def _achieved_mrps(departures: np.ndarray, cutoff: float) -> float:
+    """Completions at or past ``cutoff`` per µs of their window.
 
-def _spray_departures(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    num_queues: int,
-    servers_per_queue: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform random spray over ``num_queues`` independent FIFOs."""
-    picks = rng.integers(0, num_queues, size=arrivals.size)
-    departures = np.empty_like(arrivals)
-    for queue in range(num_queues):
-        mask = picks == queue
-        departures[mask] = simulate_fifo_queue(
-            arrivals[mask], services[mask], servers_per_queue, validate=False
-        )
-    return departures
+    Mirrors the DES exactly: the warmup cutoff is a completion-time
+    quantile and the window includes the drain tail, so the headline
+    run's >=97%-sustained filter behaves the same on both engines.
+    """
+    kept = departures[departures >= cutoff]
+    if kept.size < 2:
+        return 0.0
+    duration = float(kept.max()) - max(cutoff, float(kept.min()))
+    return kept.size / duration * 1e3 if duration > 0 else 0.0
 
 
 def _scheme_departures(
@@ -80,9 +72,9 @@ def _scheme_departures(
     if scheme == "1x16":
         return simulate_fifo_queue(arrivals, services, _TOTAL_CORES, validate=False)
     if scheme == "4x4":
-        return _spray_departures(arrivals, services, 4, 4, rng)
+        return spray_fifo_departures(arrivals, services, 4, 4, rng)
     if scheme == "16x1":
-        return _spray_departures(arrivals, services, 16, 1, rng)
+        return spray_fifo_departures(arrivals, services, 16, 1, rng)
     if scheme == "sw-1x16":
         # Tandem: serialized MCS hand-off, then the 16 cores (each RPC
         # additionally pays the post-dequeue critical section). A
@@ -98,71 +90,9 @@ def _scheme_departures(
 
 
 @lru_cache(maxsize=None)
-def calibrated_chip_profile(
-    scheme: str, probe_seed: int = 0
-) -> Tuple[float, float]:
-    """DES-anchored ``(occupancy_ns, shift_ns)`` for one single chip.
-
-    The single-chip counterpart of
-    :func:`~repro.fastpath.fastcluster.calibrated_scheme_profile`,
-    anchored against ``make_system`` (the NI + chip DES) instead of the
-    rack cluster — the two pipelines pay different overheads, so the
-    rack split does not transfer.
-
-    A light-load DES probe (1 MRPS, where queueing is negligible)
-    measures the total per-RPC latency overhead L = mean sojourn minus
-    mean processing. For ``1x16`` all of L occupies the shared
-    16-server queue (occupancy = L, shift = 0; the DES cross-checks in
-    the agreement tests confirm the split is insensitive there). For
-    ``16x1`` the per-core FIFOs are very sensitive to occupancy, so a
-    second mid-load probe (:data:`_CHIP_PROBE_MRPS`) anchors the split:
-    bisect the occupancy until :func:`fast_chip_point` reproduces the
-    probe's mean sojourn on the identical scenario, and book the
-    remainder of L as a pure latency shift. Cached per
-    ``(scheme, probe_seed)``: one diurnal sweep pays for two probes.
-    """
-    from ..core import make_system
-    from ..workloads import HerdWorkload
-
-    workload = HerdWorkload()
-    system = make_system(scheme, "herd", seed=probe_seed)
-    light = system.run_point(
-        1.0, num_requests=_CHIP_PROBE_REQUESTS, warmup_fraction=0.1
-    )
-    overhead = max(
-        light.point.summary.mean - workload.mean_processing_ns, 0.0
-    )
-    if scheme == "1x16":
-        return overhead, 0.0
-
-    mid_seed = task_seed("fastchip-probe", scheme, 0, probe_seed)
-    probe_system = make_system(scheme, "herd", seed=mid_seed)
-    target = probe_system.run_point(
-        _CHIP_PROBE_MRPS,
-        num_requests=_CHIP_PROBE_REQUESTS,
-        warmup_fraction=0.1,
-    ).point.summary.mean
-
-    def engine_mean(occupancy: float) -> float:
-        point = fast_chip_point(
-            scheme,
-            workload,
-            _CHIP_PROBE_MRPS,
-            _CHIP_PROBE_REQUESTS,
-            mid_seed,
-            (occupancy, overhead - occupancy),
-        )
-        return point.summary.mean
-
-    low, high = 0.0, overhead
-    for _ in range(10):
-        mid = (low + high) / 2.0
-        if engine_mean(mid) > target:
-            high = mid
-        else:
-            low = mid
-    occupancy = (low + high) / 2.0
-    return occupancy, overhead - occupancy
+def calibrated_chip_profile(scheme: str, probe_seed: int = 0) -> Tuple[float, float]:
+    """One chip's split: :func:`repro.fastpath.calibrate.calibrated_profile`."""
+    return calibrate.calibrated_profile("chip", scheme, probe_seed=probe_seed)
 
 
 def fast_chip_point(
@@ -229,16 +159,9 @@ def fast_chip_point(
         else 0.0
     )
     summary = LatencySummary.from_values(sojourns[departures > cutoff])
-    kept = departures[departures >= cutoff]
-    achieved = 0.0
-    if kept.size >= 2:
-        start = max(cutoff, float(kept.min()))
-        duration = float(kept.max()) - start
-        if duration > 0:
-            achieved = kept.size / duration * 1e3
     return SweepPoint(
         offered_load=float(offered_mrps),
-        achieved_throughput=achieved,
+        achieved_throughput=_achieved_mrps(departures, cutoff),
         summary=summary,
         extra={
             "mean_service_ns": float(services.mean()),
@@ -282,23 +205,11 @@ def fast_scheme_sweep(
         sojourns = departures - arrivals
         skip = int(num_requests * warmup_fraction)
         summary = LatencySummary.from_values(sojourns[skip:])
-        # Achieved throughput mirrors the DES exactly: warmup cutoff is
-        # the completion-time quantile, and the rate is measured over
-        # the completion window (including the drain tail), so the
-        # >=97%-sustained filter in the headline run behaves the same
-        # on both engines.
         cutoff = float(np.quantile(departures, warmup_fraction))
-        kept = departures[departures >= cutoff]
-        achieved = 0.0
-        if kept.size >= 2:
-            start = max(cutoff, float(kept.min()))
-            duration = float(kept.max()) - start
-            if duration > 0:
-                achieved = kept.size / duration * 1e3
         points.append(
             SweepPoint(
                 offered_load=float(load),
-                achieved_throughput=achieved,
+                achieved_throughput=_achieved_mrps(departures, cutoff),
                 summary=summary,
             )
         )

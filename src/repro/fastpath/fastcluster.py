@@ -4,7 +4,7 @@ The DES cluster prices every NI pipeline stage of every RPC. At rack
 scale the questions are about *routing* — which server each RPC hits
 and how long it queues there — so this engine collapses each chip to a
 FIFO service process whose fixed per-RPC overhead is **calibrated
-against the DES tier itself** (a light-load two-node probe), then
+against the DES tier itself** (:mod:`repro.fastpath.calibrate`), then
 simulates the whole rack with the ``fastsim`` struct-of-arrays
 approach:
 
@@ -62,19 +62,18 @@ import numpy as np
 
 from ..cluster.cluster import ClusterResult
 from ..metrics import LatencySummary
-from ..queueing.fastsim import simulate_fifo_queue
+from ..queueing.fastsim import simulate_fifo_queue, spray_fifo_departures
 from ..rack.choice import pick_min
 from ..rack.policies import PowerOfD, ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
+from . import calibrate
 
 __all__ = [
     "FaultTimeline",
     "calibrated_scheme_profile",
-    "calibrated_service_overhead_ns",
     "cluster_result",
     "fault_timeline",
-    "light_load_overhead_ns",
     "run_sequential",
     "sample_streams",
     "simulate_rack_fast",
@@ -83,117 +82,10 @@ __all__ = [
 #: Matches ``repro.arch.ChipConfig.send_slots_per_node``.
 DEFAULT_SEND_SLOTS = 32
 
-#: Mid-load calibration probe for the 16x1 occupancy split (per-core
-#: utilization ~0.85 with the HERD workload — the regime the rack
-#: sweeps actually run in).
-_PROBE_MRPS = 24.0
-_PROBE_NODES = 4
-_PROBE_REQUESTS = 1500
-
-
-def light_load_overhead_ns(
-    scheme: str, cores: int, probe_seed: int, config=None, costs=None
-) -> float:
-    """Total per-RPC latency overhead from a light-load DES probe.
-
-    Runs a tiny two-node DES cluster at ~5% utilization, where queueing
-    is negligible, and subtracts the workload's mean processing time:
-    what remains is the NI/dispatch/messaging latency every RPC pays —
-    the same "measured mean minus processing mean" recipe Fig. 9's
-    analytic model uses. ``config``/``costs`` install a node profile's
-    chip config and cost objects (the datacenter's ``nanopu`` profile);
-    ``None`` keeps the :class:`~repro.cluster.Cluster` defaults.
-    """
-    from ..balancing import Partitioned, SingleQueue
-    from ..cluster import Cluster
-    from ..workloads import HerdWorkload
-
-    factory = {"1x16": SingleQueue, "16x1": Partitioned}[scheme]
-    workload = HerdWorkload()
-    cluster = Cluster(
-        num_nodes=2,
-        scheme_factory=factory,
-        workload=workload,
-        config=config,
-        costs=costs,
-        seed=probe_seed,
-        core_counts=[cores, cores],
-    )
-    result = cluster.run(per_node_mrps=2.0, requests_per_node=600)
-    return max(result.aggregate.mean - workload.mean_processing_ns, 0.0)
-
-
 @lru_cache(maxsize=None)
-def calibrated_scheme_profile(
-    scheme: str, cores: int, probe_seed: int = 0
-) -> tuple:
-    """DES-anchored ``(occupancy_overhead_ns, latency_shift_ns)``.
-
-    The light-load probe measures the *total* per-RPC latency overhead
-    L, but only the part of L that occupies a core contributes to
-    queueing; the rest (NI pipeline stages overlapped with other
-    requests) is a pure latency shift. For ``1x16`` the two coincide —
-    the shared 16-server queue's waits are insensitive to the split and
-    the DES cross-checks confirm occupancy ≈ L. For ``16x1`` the
-    per-core M/G/1 queues are *very* sensitive to occupancy, and the
-    DES chip demonstrably overlaps part of L (a node at per-core
-    utilization ~0.86 queues far less than an M/G/1 spray with service
-    D̄+L would): a second DES probe at mid load anchors the split by
-    bisecting the occupancy until this engine reproduces the probe's
-    mean sojourn on the identical scenario. Cached per (scheme, cores):
-    rack sweeps reuse a handful of probes across dozens of points.
-    """
-    overhead = light_load_overhead_ns(scheme, cores, probe_seed)
-    if scheme != "16x1":
-        return overhead, 0.0
-
-    from ..balancing import Partitioned
-    from ..cluster import Cluster
-    from ..rack import RackRouter
-    from ..workloads import HerdWorkload
-
-    cluster = Cluster(
-        num_nodes=_PROBE_NODES,
-        scheme_factory=Partitioned,
-        workload=HerdWorkload(),
-        seed=probe_seed,
-        router=RackRouter("random", "fresh"),
-        core_counts=[cores] * _PROBE_NODES,
-    )
-    target = cluster.run(
-        per_node_mrps=_PROBE_MRPS, requests_per_node=_PROBE_REQUESTS
-    ).aggregate.mean
-
-    def engine_mean(occupancy: float) -> float:
-        result = simulate_rack_fast(
-            _PROBE_NODES,
-            policy="random",
-            scheme=scheme,
-            core_counts=[cores] * _PROBE_NODES,
-            per_node_mrps=_PROBE_MRPS,
-            requests_per_node=_PROBE_REQUESTS,
-            seed=probe_seed,
-            _profile=(occupancy, overhead - occupancy),
-        )
-        return result.aggregate.mean
-
-    low, high = 0.0, overhead
-    for _ in range(10):
-        mid = (low + high) / 2.0
-        if engine_mean(mid) > target:
-            high = mid
-        else:
-            low = mid
-    occupancy = (low + high) / 2.0
-    return occupancy, overhead - occupancy
-
-
-def calibrated_service_overhead_ns(
-    scheme: str, cores: int, probe_seed: int = 0
-) -> float:
-    """Total fixed per-RPC overhead (occupancy + pipelined latency)."""
-    occupancy, shift = calibrated_scheme_profile(scheme, cores, probe_seed)
-    return occupancy + shift
+def calibrated_scheme_profile(scheme: str, cores: int, probe_seed: int = 0) -> tuple:
+    """A rack node's split: :func:`repro.fastpath.calibrate.calibrated_profile`."""
+    return calibrate.calibrated_profile("cluster", scheme, cores, probe_seed=probe_seed)
 
 
 def _route_static(
@@ -232,14 +124,7 @@ def _node_departures(
     if scheme == "1x16":
         return simulate_fifo_queue(arrivals, services, cores, validate=False)
     # 16x1: uniform spray to per-core FIFOs, each a Lindley recurrence.
-    picks = spray_rng.integers(0, cores, size=arrivals.size)
-    departures = np.empty_like(arrivals)
-    for core in range(cores):
-        mask = picks == core
-        departures[mask] = simulate_fifo_queue(
-            arrivals[mask], services[mask], 1, validate=False
-        )
-    return departures
+    return spray_fifo_departures(arrivals, services, cores, 1, spray_rng)
 
 
 def _count_stalls(
@@ -761,7 +646,7 @@ def simulate_rack_fast(
     profiles = (
         [_profile] * num_nodes
         if _profile is not None
-        else [calibrated_scheme_profile(scheme, count) for count in cores]
+        else [calibrate.calibrated_profile("cluster", scheme, count) for count in cores]
     )
     occupancy = np.array([profile[0] for profile in profiles])
     shift = np.array([profile[1] for profile in profiles])

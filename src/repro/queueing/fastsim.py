@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "simulate_fifo_queue",
+    "spray_fifo_departures",
     "sojourn_times",
     "queue_length_series",
     "queue_depth_at_arrivals",
@@ -104,6 +105,25 @@ def simulate_fifo_queue(
         depart = start + services[index]
         push(free_heap, depart)
         departures[index] = depart
+    return departures
+
+
+def spray_fifo_departures(
+    arrivals: np.ndarray,
+    services: np.ndarray,
+    num_queues: int,
+    servers_per_queue: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Departures when one ``integers(0, num_queues)`` draw per request
+    sprays it over independent FIFOs (trusted inputs, e.g. ``16x1``)."""
+    picks = rng.integers(0, num_queues, size=arrivals.size)
+    departures = np.empty_like(arrivals)
+    for queue in range(num_queues):
+        mask = picks == queue
+        departures[mask] = simulate_fifo_queue(
+            arrivals[mask], services[mask], servers_per_queue, validate=False
+        )
     return departures
 
 

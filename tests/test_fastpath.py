@@ -371,6 +371,73 @@ class TestCalibrationPins:
         assert _calibration_constants() == CALIBRATION_PINS
 
 
+def _clear_calibration_caches():
+    from repro.datacenter import calibrated_profile_overhead_ns
+    from repro.experiments.common import calibrate_mean_service_ns
+    from repro.fastpath import calibrate
+    from repro.fastpath.fastchip import calibrated_chip_profile
+
+    for probe in (
+        calibrate._cached_profile, calibrated_profile_overhead_ns,
+        calibrated_chip_profile, fastcluster.calibrated_scheme_profile,
+        calibrate_mean_service_ns,
+    ):
+        probe.cache_clear()
+
+
+def _count_des_runs(monkeypatch):
+    """Count every DES run (cluster and single chip) from now on."""
+    from repro.cluster import Cluster
+    from repro.core import RpcValetSystem
+
+    runs = []
+    for cls, name in ((Cluster, "run"), (RpcValetSystem, "run_point")):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            runs.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return runs
+
+
+class TestCalibrationRoute:
+    def test_one_probe_per_scenario(self, monkeypatch):
+        """The datacenter baseline, the rack wrapper and the rack engine
+        all ask for the same 2-node 1x16 probe: it runs once."""
+        from repro.cache import set_cache
+        from repro.datacenter import calibrated_profile_overhead_ns
+
+        set_cache(enabled=False)
+        try:
+            _clear_calibration_caches()
+            runs = _count_des_runs(monkeypatch)
+            calibrated_profile_overhead_ns("baseline", 16)
+            fastcluster.calibrated_scheme_profile("1x16", 16)
+            simulate_rack_fast(4, scheme="1x16", core_counts=[16] * 4,
+                               requests_per_node=200)
+        finally:
+            set_cache()
+        assert runs == ["Cluster"]
+
+    def test_warm_result_cache_runs_no_des(self, monkeypatch, tmp_path):
+        from repro.cache import set_cache
+
+        set_cache(enabled=True, directory=tmp_path)
+        try:
+            _clear_calibration_caches()
+            cold = _calibration_constants()
+            _clear_calibration_caches()
+            runs = _count_des_runs(monkeypatch)
+            warm = _calibration_constants()
+        finally:
+            set_cache()
+            _clear_calibration_caches()
+        assert warm == cold == CALIBRATION_PINS
+        assert runs == []
+
+
 class TestDesFastEquivalence:
     """Tolerance bands from EXPERIMENTS.md ("Engine tiers"): the fast
     tier tracks the DES cluster within 15% on mean and p99 at the
