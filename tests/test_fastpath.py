@@ -2,6 +2,8 @@
 sequential loop, and the DES <-> fast <-> fluid equivalence bands
 documented in EXPERIMENTS.md."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,8 @@ class TestSequentialLoop:
 
 #: Fast-tier outputs pinned bit-for-bit: ``float.hex`` of the aggregate
 #: (mean, p50, p99), per-node completions, losses, and per-client stall
-#: counts (rack) or JBSQ ToR holds (datacenter). Any change to the
+#: counts (rack) or JBSQ ToR holds (datacenter); :data:`PER_NODE_PINS`
+#: adds every per-node latency summary. Any change to the
 #: sequential loop's event order, RNG consumption or fault handling
 #: moves at least one of these.
 FAST_TIER_PINS = {
@@ -230,12 +233,43 @@ FAST_TIER_PINS = {
         0,
         0,
     ),
+    "dc-flat-jsq2": (
+        ("0x1.2115d2bd8de40p+9", "0x1.1426bc330e28cp+9", "0x1.0a89887332606p+10"),
+        [545, 533, 537, 534, 501, 508, 519, 517, 485, 481, 490, 485, 464, 465, 472, 464],
+        0,
+        0,
+    ),
+    "dc-flat-sed": (
+        ("0x1.207fc0beed388p+9", "0x1.144240bb7bed0p+9", "0x1.0ae3d4553f563p+10"),
+        [521, 522, 513, 515, 506, 490, 498, 505, 491, 489, 496, 489, 488, 489, 494, 494],
+        0,
+        0,
+    ),
     "dc-rack-power-loss": (
         ("0x1.20608923cb4b5p+9", "0x1.12f2e10f85960p+9", "0x1.096ca0747483bp+10"),
         [434, 438, 434, 435, 298, 297, 303, 304, 435, 437, 440, 432, 433, 430, 427, 434],
         1589,
         0,
     ),
+}
+#: :func:`_per_node_digest` of each :data:`FAST_TIER_PINS` case: every
+#: per-node ``LatencySummary`` field, bit for bit.
+PER_NODE_PINS = {
+    "rack-random-light": "48fd4e44235b3279",
+    "rack-random-28": "c3add7152a5fc031",
+    "rack-jsq2-fresh": "2690eeedf6bd7436",
+    "rack-jsq2-piggyback": "758d0e9a2be9531e",
+    "rack-jsq2-broadcast": "f5e258e881fb14d9",
+    "rack-sed": "a0e9bda04248e012",
+    "rack-16x1-jsq2": "cb38fc7bd492fae0",
+    "rack-faults": "ee990cc144012899",
+    "dc-flat-random": "6c569d3c2779ea89",
+    "dc-racksched": "87d5943cc1620d7d",
+    "dc-jbsq-holds": "1eede507c7dfd482",
+    "dc-nanopu": "62d25eb2adf3bc00",
+    "dc-flat-jsq2": "1fb5d4c140ce8f13",
+    "dc-flat-sed": "8cefaa947edf5059",
+    "dc-rack-power-loss": "05f936bd2404b6a3",
 }
 _PIN_REQUESTS = 500
 _PIN_HORIZON_NS = _PIN_REQUESTS / 20.0 * 1e3
@@ -283,12 +317,28 @@ def _dc_pin_kwargs(case, topology):
         "jbsq-holds": dict(hierarchy="jbsq", policy="random", skew=0.8,
                            jbsq_k=4, per_node_mrps=26.0),
         "nanopu": dict(hierarchy="nanopu", policy="jsq2", per_node_mrps=20.0),
+        "flat-jsq2": dict(hierarchy="flat", policy="jsq2", skew=0.6,
+                          per_node_mrps=24.0),
+        "flat-sed": dict(hierarchy="flat", policy="sed", skew=0.3,
+                         per_node_mrps=24.0),
         "rack-power-loss": dict(
             hierarchy="racksched", policy="jsq2", per_node_mrps=20.0,
             faults=rack_power_loss(topology, rack=1, at_ns=0.3 * horizon,
                                    outage_ns=0.4 * horizon),
         ),
     }[case]
+
+
+def _per_node_digest(result):
+    """16 hex digits of sha256 over every per-node ``LatencySummary``:
+    node by node, the count and the seven float fields as ``float.hex``."""
+    fields = ("mean", "p50", "p90", "p95", "p99", "p999", "max")
+    text = ";".join(
+        ",".join([str(summary.count)]
+                 + [getattr(summary, field).hex() for field in fields])
+        for summary in result.per_node
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _fingerprint(result):
@@ -310,6 +360,7 @@ class TestFastTierPins:
         )
         *expected, stalls = FAST_TIER_PINS["rack-" + case]
         assert _fingerprint(result) == tuple(expected)
+        assert _per_node_digest(result) == PER_NODE_PINS["rack-" + case]
         assert [
             round(fraction * _PIN_REQUESTS) for fraction in result.stall_fractions
         ] == stalls
@@ -328,6 +379,7 @@ class TestFastTierPins:
         )
         *expected, holds = FAST_TIER_PINS["dc-" + case]
         assert _fingerprint(result) == tuple(expected)
+        assert _per_node_digest(result) == PER_NODE_PINS["dc-" + case]
         assert audit["holds"] == holds
 
 
