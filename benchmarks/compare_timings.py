@@ -9,11 +9,10 @@ in ``bench_timings.json``; this script renders the two side by side:
     run_headline       18.517s    1.892s    -89.8%  (9.79x faster)
     ...
 
-Exits non-zero (``--fail-over PCT``) when any figure regressed by more
-than the given percentage — usable as a cheap CI tripwire. Repeatable
-``--budget NAME=SECONDS`` flags additionally enforce absolute wall
+Repeatable ``--budget NAME=SECONDS`` flags enforce absolute wall
 budgets on individual figures (e.g. ``--budget run_diurnal=1.0`` keeps
-the fast-tier diurnal smoke under a second regardless of history).
+the fast-tier diurnal smoke under a second regardless of history) and
+exit non-zero when one is exceeded.
 """
 
 from __future__ import annotations
@@ -64,13 +63,6 @@ def main(argv=None) -> int:
         help=f"timings file (default: {DEFAULT_PATH})",
     )
     parser.add_argument(
-        "--fail-over",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit 1 if any figure slowed down by more than PCT percent",
-    )
-    parser.add_argument(
         "--budget",
         action="append",
         type=_parse_budget,
@@ -112,7 +104,6 @@ def main(argv=None) -> int:
     names = sorted(set(prev_times) | set(cur_times))
     width = max((len(name) for name in names), default=6)
     print(f"{'figure':<{width}}  {'previous':>9}  {'current':>9}  {'delta':>8}")
-    regressed = []
     for name in names:
         prev_s = prev_times.get(name)
         cur_s = cur_times.get(name)
@@ -128,8 +119,6 @@ def main(argv=None) -> int:
             f"{name:<{width}}  {prev_s:>8.3f}s  {cur_s:>8.3f}s  "
             f"{delta:>+7.1f}%  {note}".rstrip()
         )
-        if args.fail_over is not None and delta > args.fail_over:
-            regressed.append((name, delta))
     total_prev = sum(v for k, v in prev_times.items() if k in cur_times)
     total_cur = sum(v for k, v in cur_times.items() if k in prev_times)
     if total_prev > 0:
@@ -138,18 +127,7 @@ def main(argv=None) -> int:
             f"{total_cur:>8.3f}s  "
             f"{(total_cur - total_prev) / total_prev * 100:>+7.1f}%"
         )
-    failed = False
-    if regressed:
-        print(
-            "\nregressions over "
-            f"{args.fail_over:g}%: "
-            + ", ".join(f"{name} ({delta:+.1f}%)" for name, delta in regressed),
-            file=sys.stderr,
-        )
-        failed = True
-    if _check_budgets(args.budget, cur_times):
-        failed = True
-    return 1 if failed else 0
+    return _check_budgets(args.budget, cur_times)
 
 
 def _check_budgets(budgets, cur_times) -> int:

@@ -65,11 +65,6 @@ class NIBackend:
         """A plain one-sided write: memory traffic only, no dispatch."""
         self._pipeline.put(("onesided", op))
 
-    @property
-    def queue_depth(self) -> int:
-        """Work items waiting at this backend's pipeline."""
-        return len(self._pipeline)
-
     # -- the pipeline ------------------------------------------------------------
 
     def _occupancy_ns(self, num_packets: int) -> float:

@@ -55,16 +55,9 @@ class Core:
         self.core_id = core_id
         self.program = program
         self.qp = QueuePair(chip.env, core_id)
-        #: Observability: processed count and busy time (for utilization).
+        #: Observability: RPCs this core has processed.
         self.processed = 0
-        self.busy_ns = 0.0
         chip.env.process(self._run(), name=f"core{core_id}")
-
-    @property
-    def utilization_of(self) -> float:
-        """Busy fraction of elapsed simulated time."""
-        now = self.chip.env.now
-        return self.busy_ns / now if now > 0 else 0.0
 
     def _run(self):
         env = self.chip.env
@@ -85,5 +78,4 @@ class Core:
             msg.t_replenish = env.now
             msg.core_id = self.core_id
             self.processed += 1
-            self.busy_ns += occupancy
             chip.complete_request(msg, self)

@@ -47,6 +47,7 @@ from ..fastpath.fastcluster import (
     run_sequential,
     sample_streams,
 )
+from ..rack.choice import Variates
 from .schedulers import DEFAULT_JBSQ_K, make_scheduler
 from .topology import DatacenterTopology, node_profile
 
@@ -113,6 +114,7 @@ def simulate_datacenter_fast(
     times, clients, processing, route_rng = sample_streams(
         num_nodes, requests_per_node, per_node_mrps, arrival_process, seed
     )
+    route_rng = Variates(route_rng)
     timeline = fault_timeline(faults, num_nodes, times, seed)
 
     outstanding = [0] * num_nodes

@@ -29,6 +29,7 @@ cannot drift between tiers.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Sequence as SequenceABC
 from typing import List, Optional, Sequence
@@ -82,10 +83,11 @@ class DatacenterScheduler:
     """Base: Zipf rack popularity; every decision composes the
     :mod:`repro.rack.choice` kernel (draw, distinct draws, argmin).
 
-    ``believe`` is the per-node outstanding view and ``rack_believe``
-    the per-rack aggregate (dispatched + ToR-held); both engines own
-    the ground truth and keep the aggregates in sync incrementally, so
-    a decision never pays an O(num_nodes) scan.
+    ``believe`` is the per-node outstanding view (a list, so a rack's
+    members are one slice) and ``rack_believe`` the per-rack aggregate
+    (dispatched + ToR-held); both engines own the ground truth and keep
+    the aggregates in sync incrementally, so a decision never pays an
+    O(num_nodes) scan.
     """
 
     #: JBSQ bound (None for unbounded hierarchies).
@@ -98,6 +100,7 @@ class DatacenterScheduler:
         if skew < 0:
             raise ValueError(f"skew must be non-negative, got {skew!r}")
         self.topology = topology
+        self.rack_size = topology.rack_size
         self.policy = policy
         self.mode, self.d = _parse_policy(policy)
         self.skew = skew
@@ -133,7 +136,7 @@ class DatacenterScheduler:
     def choose(
         self,
         client: int,
-        believe: Sequence[float],
+        believe: List[float],
         rack_believe: Sequence[float],
         rng: np.random.Generator,
     ) -> int:
@@ -163,14 +166,12 @@ class FlatScheduler(DatacenterScheduler):
 
     def _sample_node(self, client: int, rng) -> int:
         """One candidate: popularity-weighted rack, uniform member != client."""
-        topo = self.topology
-        rack = draw_index(self.rack_cumulative, rng.random)
-        members = topo.members(rack)
-        if topo.rack_of(client) == rack:
-            offset = int(rng.integers(0, topo.rack_size - 1))
-            node = members[0] + offset
+        size = self.rack_size
+        first = draw_index(self.rack_cumulative, rng.random) * size
+        if first <= client < first + size:
+            node = first + int(rng.integers(0, size - 1))
             return node if node < client else node + 1
-        return members[0] + int(rng.integers(0, topo.rack_size))
+        return first + int(rng.integers(0, size))
 
     def choose(self, client, believe, rack_believe, rng) -> int:
         if self.mode == "random":
@@ -226,11 +227,25 @@ class TwoLevelScheduler(DatacenterScheduler):
         return pick_min(self.racks, score, rng.integers)
 
     def choose_member(self, rack, client, believe, rng) -> int:
-        """ToR-local JSQ over the rack's members (client excluded)."""
-        members = self.topology.members(rack)
-        if self.topology.rack_of(client) == rack:
-            members = [node for node in members if node != client]
-        return pick_min(members, believe, rng.integers)
+        """ToR-local JSQ over the rack's members (client excluded).
+
+        :func:`~repro.rack.choice.pick_min` over the members, computed
+        with C-level list scans of the rack's slice of ``believe``: the
+        same argmin, the same ties in member order, the same single
+        ``integers(0, k)`` draw among ``k > 1`` ties.
+        """
+        size = self.rack_size
+        first = rack * size
+        loads = believe[first : first + size]
+        if first <= client < first + size:
+            loads[client - first] = math.inf
+        best = min(loads)
+        ties = loads.count(best)
+        index = loads.index(best)
+        if ties > 1:
+            for _ in range(int(rng.integers(0, ties))):
+                index = loads.index(best, index + 1)
+        return first + index
 
     def choose(self, client, believe, rack_believe, rng) -> int:
         rack = self.choose_rack(client, rack_believe, rng)

@@ -63,7 +63,7 @@ import numpy as np
 from ..cluster.cluster import ClusterResult
 from ..metrics import LatencySummary
 from ..queueing.fastsim import simulate_fifo_queue, spray_fifo_departures
-from ..rack.choice import pick_min
+from ..rack.choice import Variates, pick_min
 from ..rack.policies import PowerOfD, ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
@@ -336,7 +336,9 @@ def sample_streams(
     node draws its own gap batch — and one stable argsort merges the
     streams. Service times are one ``sample_batch`` per client, reordered
     with the arrivals. ``route_rng``, the third child of ``seed``, is
-    left for routing and 16x1 lane picks.
+    left for routing and 16x1 lane picks; sequential engines wrap it in
+    one :class:`~repro.rack.choice.Variates` stream after any
+    vectorized draws.
     """
     from ..workloads import HerdWorkload
 
@@ -367,7 +369,7 @@ def run_sequential(
     times: np.ndarray,
     clients: np.ndarray,
     processing: np.ndarray,
-    route_rng: np.random.Generator,
+    route_rng: Variates,
     scheme: str,
     cores: Sequence[int],
     speeds: Sequence[float],
@@ -396,7 +398,8 @@ def run_sequential(
     :class:`RuntimeError`.
 
     Each node is a ``1x16`` server-free-time heap or ``16x1`` per-core
-    lanes picked uniformly from ``route_rng``; service is processing
+    lanes picked uniformly from ``route_rng``, the run's one
+    :class:`~repro.rack.choice.Variates` stream; service is processing
     time over the node's speed (scaled by any slowdown window open at
     launch) plus its fixed ``occupancy``, and ``shift`` adds pipelined
     latency to the sojourn only. A recovery boundary floors the node's
@@ -539,12 +542,7 @@ def cluster_result(
         kept_sojourns = kept_sojourns[kept_ok]
         kept_dsts = kept_dsts[kept_ok]
     aggregate = LatencySummary.from_values(kept_sojourns)
-    per_node = [
-        LatencySummary.from_values(kept_sojourns[kept_dsts == node])
-        if np.any(kept_dsts == node)
-        else LatencySummary.empty()
-        for node in range(num_nodes)
-    ]
+    per_node = LatencySummary.grouped(kept_sojourns, kept_dsts, num_nodes)
 
     elapsed_ns = float(departures.max())
     routed_counts = np.bincount(dsts, minlength=num_nodes)
@@ -687,12 +685,14 @@ def simulate_rack_fast(
         sojourns = departures - times + shift[dsts]
         dropped = None
     else:
+        # One exact scalar stream for every sequential route and lane pick.
+        variates = Variates(route_rng)
         route, admit, release, errors, stalled = _rack_rules(
-            policy_obj, signal_obj, destinations, cores, speeds, route_rng,
+            policy_obj, signal_obj, destinations, cores, speeds, variates,
             send_slots_per_node, static_dsts, times.size,
         )
         dsts, sojourns, departures, dropped = run_sequential(
-            times, clients, processing, route_rng, scheme, cores, speeds,
+            times, clients, processing, variates, scheme, cores, speeds,
             occupancy, shift, timeline, route, admit, release,
         )
 
@@ -737,7 +737,7 @@ def _rack_rules(
     destinations: ZipfDestinations,
     cores: List[int],
     speeds: np.ndarray,
-    route_rng: np.random.Generator,
+    route_rng: Variates,
     slots: int,
     static_dsts: Optional[np.ndarray],
     total: int,

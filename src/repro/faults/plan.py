@@ -345,11 +345,6 @@ class FaultStats:
     detection_latency_ns: List[float] = field(default_factory=list)
 
     @property
-    def loss_fraction(self) -> float:
-        """Offered RPCs that exhausted their retry budget."""
-        return self.lost / self.offered if self.offered else 0.0
-
-    @property
     def mean_detection_ns(self) -> float:
         if not self.detection_latency_ns:
             return float("nan")

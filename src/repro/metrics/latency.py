@@ -18,6 +18,10 @@ import numpy as np
 __all__ = ["LatencyRecorder", "LatencySummary", "StreamingLatencyRecorder"]
 
 
+#: The percentiles every :class:`LatencySummary` reports.
+_PERCENTILES = [50.0, 90.0, 95.0, 99.0, 99.9]
+
+
 @dataclass(frozen=True)
 class LatencySummary:
     """Summary statistics over a set of latencies (same unit as input)."""
@@ -51,9 +55,7 @@ class LatencySummary:
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return cls.empty()
-        p50, p90, p95, p99, p999 = np.percentile(
-            values, [50.0, 90.0, 95.0, 99.0, 99.9]
-        )
+        p50, p90, p95, p99, p999 = np.percentile(values, _PERCENTILES)
         return cls(
             count=int(values.size),
             mean=float(values.mean()),
@@ -64,6 +66,58 @@ class LatencySummary:
             p999=float(p999),
             max=float(values.max()),
         )
+
+    @classmethod
+    def grouped(
+        cls, values: np.ndarray, groups: np.ndarray, count: int
+    ) -> List["LatencySummary"]:
+        """``from_values(values[groups == g])`` for every ``g < count``, bit
+        for bit, in one pass (an empty group gives :meth:`empty`).
+
+        A stable sort by group keeps each group's values in input order,
+        so every mean sums the same elements in the same order. A
+        lexsort by (group, value) ranks each group, and the percentiles
+        redo ``np.percentile``'s linear method on the ranks: virtual
+        index ``(n - 1) * q``, clamped to the last rank, then numpy's
+        ``_lerp`` (``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` for
+        ``t >= 0.5``).
+        """
+        values = np.asarray(values, dtype=float)
+        groups = np.asarray(groups, dtype=np.intp)
+        sizes = np.bincount(groups, minlength=count)
+        starts = np.cumsum(sizes) - sizes
+        in_order = values[np.argsort(groups, kind="stable")]
+        ranked = values[np.lexsort((values, groups))]
+
+        filled = np.flatnonzero(sizes)
+        last = (sizes[filled] - 1)[:, None]
+        virtual = last * (np.asarray(_PERCENTILES) / 100)
+        below = np.floor(virtual)
+        above = virtual >= last
+        base = starts[filled][:, None]
+        lower = ranked[base + np.where(above, last, below).astype(np.intp)]
+        upper = ranked[base + np.where(above, last, below + 1).astype(np.intp)]
+        weight = virtual - below
+        diff = upper - lower
+        tails = lower + diff * weight
+        np.subtract(upper, diff * (1 - weight), out=tails, where=weight >= 0.5)
+
+        summaries = [cls.empty()] * count
+        for row, group in enumerate(filled.tolist()):
+            start = int(starts[group])
+            size = int(sizes[group])
+            p50, p90, p95, p99, p999 = tails[row].tolist()
+            summaries[group] = cls(
+                count=size,
+                mean=float(in_order[start : start + size].mean()),
+                p50=p50,
+                p90=p90,
+                p95=p95,
+                p99=p99,
+                p999=p999,
+                max=float(ranked[start + size - 1]),
+            )
+        return summaries
 
     def scaled(self, factor: float) -> "LatencySummary":
         """Return a copy with all latency fields multiplied by ``factor``.

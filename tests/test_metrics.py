@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import (
     LatencyRecorder,
@@ -112,6 +114,41 @@ class TestLatencySummary:
         assert scaled.mean == pytest.approx(summary.mean * 10)
         assert scaled.p99 == pytest.approx(summary.p99 * 10)
         assert scaled.count == summary.count
+
+
+def _summary_bits(summary):
+    fields = ("mean", "p50", "p90", "p95", "p99", "p999", "max")
+    return (summary.count,) + tuple(getattr(summary, f).hex() for f in fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    groups=st.integers(1, 6),
+    size=st.integers(0, 300),
+    tied=st.booleans(),
+)
+def test_grouped_summaries_equal_per_group_from_values(data, groups, size, tied):
+    """``grouped`` is bit for bit ``from_values`` per group: empty groups,
+    singletons and tied values included."""
+    value = (
+        st.integers(0, 3).map(float) if tied
+        else st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False)
+    )
+    values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
+    labels = np.array(
+        data.draw(st.lists(st.integers(0, groups - 1), min_size=size,
+                           max_size=size)),
+        dtype=np.int64,
+    )
+    got = LatencySummary.grouped(values, labels, groups)
+    for group in range(groups):
+        chosen = values[labels == group]
+        expected = (
+            LatencySummary.from_values(chosen) if chosen.size
+            else LatencySummary.empty()
+        )
+        assert _summary_bits(got[group]) == _summary_bits(expected)
 
 
 class TestStreamingLatencyRecorder:

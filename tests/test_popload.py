@@ -227,6 +227,14 @@ class TestTraceRecordReplay:
         loaded = load_arrival_trace(path)
         assert times.tobytes() == loaded.tobytes()
 
+    def test_from_file_replays_the_saved_stream(self, tmp_path):
+        times = record_arrivals(StationaryPoisson(1e6), RNG(8), 500)
+        path = save_arrival_trace(tmp_path / "burst.trace", times)
+        replay = RecordedArrivals.from_file(path)
+        assert len(replay) == 500
+        assert replay.times_ns.tobytes() == times.tobytes()
+        assert replay.sample_times(RNG(), 500).tobytes() == times.tobytes()
+
     def test_replay_consumes_no_rng(self):
         times = record_arrivals(StationaryPoisson(1e6), RNG(2), 100)
         replay = RecordedArrivals(times)

@@ -1,9 +1,11 @@
 """The power-of-d kernel's variate contract (repro.rack.choice)."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rack.choice import draw_distinct, draw_index, pick_min
+from repro.rack.choice import Variates, draw_distinct, draw_index, pick_min
 
 
 class RecordingRng:
@@ -92,3 +94,51 @@ def test_pick_min_returns_a_member_of_the_argmin_set(scores, pick):
         assert rng.calls == []
     else:
         assert rng.calls == [("integers", 0, len(argmin))]
+
+
+class TestVariates:
+    """The buffered stream against the scalar ``Generator`` it wraps."""
+
+    #: 2**31 + 1 rejects about half of its 32-bit draws (Lemire's loop).
+    SPANS = [1, 2, 15, 16, 1023, 2**31 + 1, 2**32]
+
+    def test_matches_scalar_generator_value_for_value(self):
+        reference = np.random.default_rng(7)
+        wrapped = np.random.default_rng(7)
+        # Leave a uint32 half buffered in the generator before wrapping.
+        assert reference.integers(0, 5) == wrapped.integers(0, 5)
+        assert wrapped.bit_generator.state["has_uint32"] == 1
+        stream = Variates(wrapped)
+        script = np.random.default_rng(99)
+        calls = 30_000  # ~30k raw draws: many block refills
+        for _ in range(calls):
+            if script.random() < 0.4:
+                assert stream.random() == reference.random()
+            else:
+                span = self.SPANS[int(script.integers(0, len(self.SPANS)))]
+                assert stream.integers(0, span) == reference.integers(0, span)
+        # Same position afterwards: both give the same next values.
+        assert stream.random() == reference.random()
+
+    def test_offset_range(self):
+        reference = np.random.default_rng(3)
+        stream = Variates(np.random.default_rng(3))
+        for _ in range(200):
+            assert stream.integers(5, 12) == reference.integers(5, 12)
+
+    def test_single_value_range_draws_nothing(self):
+        stream = Variates(np.random.default_rng(1))
+        reference = np.random.default_rng(1)
+        assert [stream.integers(0, 1) for _ in range(10)] == [0] * 10
+        assert stream.integers(4, 5) == 4
+        assert stream.random() == reference.random()
+
+    def test_non_pcg64_bit_generator_rejected(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            Variates(np.random.Generator(np.random.MT19937(0)))
+
+    def test_ranges_outside_32_bits_rejected(self):
+        stream = Variates(np.random.default_rng(0))
+        for low, high in ((0, 0), (3, 2), (0, 2**32 + 1)):
+            with pytest.raises(ValueError, match="high - low"):
+                stream.integers(low, high)

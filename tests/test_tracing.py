@@ -16,8 +16,12 @@ The contract under test, in rough order of importance:
 
 import json
 import math
+import os
+import sys
 
 import pytest
+
+import repro.tracing
 
 from repro.cluster import Cluster
 from repro.experiments.persistence import build_manifest
@@ -131,6 +135,38 @@ class TestPurity:
         assert traced.lost == plain.lost
         assert traced.fault_stats.retries == plain.fault_stats.retries
         assert traced.fault_stats.hedges == plain.fault_stats.hedges
+
+    def test_tracing_off_makes_no_tracing_calls(self):
+        """The deterministic cost gate: with tracing off, a DES point that
+        exercises every instrumented site (fault timeline, retries,
+        hedges, drops) runs no function of :mod:`repro.tracing`; the
+        same point traced runs many, so the counter can see them."""
+        package = os.path.dirname(repro.tracing.__file__) + os.sep
+        kwargs = dict(
+            faults=FaultPlan(drop_prob=0.04, dup_prob=0.01),
+            retry=RetryConfig(timeout_ns=3_000.0, max_retries=2,
+                              backoff_ns=1_000.0, hedge_ns=2_000.0),
+            requests=150,
+        )
+
+        def tracing_calls(trace):
+            calls = []
+
+            def count(frame, event, _arg):
+                if event == "call" and frame.f_code.co_filename.startswith(
+                    package
+                ):
+                    calls.append(frame.f_code.co_name)
+
+            sys.setprofile(count)
+            try:
+                _run(trace=trace, **kwargs)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        assert tracing_calls(None) == []
+        assert len(tracing_calls(TraceConfig())) > 100
 
     def test_sample_period_counts_not_draws(self):
         result = _run(trace=TraceConfig(sample_period=7))
