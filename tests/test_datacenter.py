@@ -20,6 +20,8 @@ The contract under test, in rough order of importance:
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, HierarchicalFabric, PodFabric, UniformFabric
 from repro.datacenter import (
@@ -169,6 +171,38 @@ class TestSchedulers:
             chosen = sched.choose(0, believe, rack_believe, rng)
             assert topo.rack_of(chosen) == 3
             assert chosen != 13
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tor_pick_is_pick_min_over_the_members(self, data):
+        """The slice argmin equals ``pick_min`` over the rack's members
+        (client excluded): same node, same single tie draw."""
+        from repro.rack.choice import pick_min
+
+        topo = DatacenterTopology(3, data.draw(st.integers(2, 6)))
+        sched = make_scheduler("racksched", topo)
+        believe = data.draw(st.lists(st.integers(0, 3),
+                                     min_size=topo.num_nodes,
+                                     max_size=topo.num_nodes))
+        client = data.draw(st.integers(0, topo.num_nodes - 1))
+        rack = data.draw(st.integers(0, topo.num_racks - 1))
+        tie = data.draw(st.integers(0, topo.rack_size))
+
+        class Scripted:
+            def __init__(self):
+                self.calls = []
+
+            def integers(self, low, high):
+                self.calls.append((low, high))
+                return tie % high
+
+        members = [node for node in topo.members(rack) if node != client]
+        reference, fast = Scripted(), Scripted()
+        expected = pick_min(members, believe, reference.integers)
+        before = list(believe)
+        assert sched.choose_member(rack, client, believe, fast) == expected
+        assert fast.calls == reference.calls
+        assert believe == before
 
     def test_skew_concentrates_popularity(self):
         import numpy as np
