@@ -17,6 +17,7 @@ The contract under test, in rough order of importance:
    surface matches the CLI's ENGINE_AWARE set.
 """
 
+import hashlib
 import re
 
 import pytest
@@ -38,6 +39,7 @@ from repro.datacenter import (
 )
 from repro.balancing import SingleQueue
 from repro.faults import FaultPlan
+from repro.tracing import TraceConfig
 
 
 class TestHierarchicalFabric:
@@ -360,6 +362,45 @@ class TestDesRouter:
         assert result.router_stats.policy == "jbsq+sed"
         assert result.router_stats.decisions == topo.num_nodes * 100
         assert sum(result.router_stats.routed) == result.router_stats.decisions
+
+    def test_bookkeeping_pinned(self):
+        """Fresh in-network state: every decision counts a zero
+        staleness error but records no histogram sample; the routed
+        counts, telemetry counters and traced decision details (float
+        estimates) are pinned."""
+        topo = DatacenterTopology(2, 4)
+        profile = node_profile(topo.profile.name)
+        cluster = Cluster(
+            num_nodes=topo.num_nodes,
+            scheme_factory=SingleQueue,
+            config=profile.chip_config(),
+            costs=profile.costs(),
+            seed=4,
+            router=DatacenterRouter(topo, hierarchy="racksched", policy="jsq2"),
+            fabric=topo.fabric(),
+            telemetry=True,
+            trace=TraceConfig(sample_period=5),
+        )
+        result = cluster.run(per_node_mrps=20.0, requests_per_node=200)
+        stats = result.router_stats
+        assert stats.decisions == stats.signal_error_count == 1600
+        assert stats.signal_error_sum == 0.0
+        assert stats.routed == [200, 197, 200, 202, 197, 203, 203, 198]
+        assert result.telemetry.histograms["rack.signal_error"].count == 0
+        assert [
+            result.telemetry.counters[f"rack.routed[node{node}]"].value
+            for node in range(topo.num_nodes)
+        ] == stats.routed
+        decisions = [
+            sorted(span.decision.items())
+            for trace in result.spans.traces
+            for span in trace.attempts
+            if span.decision is not None
+        ]
+        assert len(decisions) == 320
+        digest = hashlib.sha256(repr(decisions).encode()).hexdigest()[:16]
+        assert digest == "56d0e1c0a223438b"
+        assert result.aggregate.mean.hex() == "0x1.25b1916471575p+9"
 
 
 class TestDriver:

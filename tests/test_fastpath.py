@@ -114,6 +114,26 @@ class TestFastDeterminism:
         assert inlined.p99_ns == generic.p99_ns
         assert inlined.per_node_completed == generic.per_node_completed
 
+    @pytest.mark.parametrize(
+        "num_nodes, policy, mean_hex, completed",
+        [
+            (4, "jsq2", "0x1.341d0387e053fp+9", [608, 599, 595, 598]),
+            (2, "jsq2", "0x1.394af1f4ed978p+9", [600, 600]),
+            (3, "jsq3", "0x1.35d1b22e1b00dp+9", [613, 583, 604]),
+        ],
+        ids=["4-jsq2", "2-jsq2", "3-jsq3"],
+    )
+    def test_jsq_path_pinned(self, num_nodes, policy, mean_hex, completed):
+        """The fast tier's JSQ(d) route, bit for bit. d reaching the
+        peer count (2 nodes at jsq2, 3 at jsq3) takes the whole pool
+        without drawing: those two runs once hung."""
+        result = simulate_rack_fast(
+            num_nodes=num_nodes, policy=policy, signal="piggyback",
+            per_node_mrps=24.0, requests_per_node=600, seed=5,
+        )
+        assert result.aggregate.mean.hex() == mean_hex
+        assert result.per_node_completed == completed
+
 
 class TestSequentialLoop:
     @staticmethod

@@ -1,5 +1,7 @@
 """Rack-level two-level scheduling: policies, signals, router, driver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,67 @@ class TestRackRouter:
         fractions = router.stats.routed_fractions()
         assert sum(fractions) == pytest.approx(1.0)
         assert fractions[0] == 0.0  # never routes to itself
+
+
+class _DecisionLog:
+    """Stands in for a traced RPC: keeps each decision's detail."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def note_decision(self, **detail):
+        self.log.append(sorted(detail.items()))
+
+
+#: sha256 prefixes of 200 ``RackRouter.choose`` results (clients
+#: cycling 0..5 on one generator) with the trace detail of every 7th
+#: decision and the staleness-error totals, per suspected set: a strict
+#: subset of the peers, every node (the all-peers fallback) and one node
+#: (whose own decisions exclude no peer).
+SUSPECTED_PINS = {
+    (2, 4): {
+        "random": "f3b3296a2826b5de",
+        "rr": "d1e94b3f06eec6ca",
+        "jsq2": "00ac28473835911c",
+        "sed": "67e0055de01bda81",
+    },
+    (0, 1, 2, 3, 4, 5): {
+        "random": "4a7b9aea460071e8",
+        "rr": "5e902a30c99ef1bb",
+        "jsq2": "579870eb2bf608bc",
+        "sed": "c11b5eb27d14df35",
+    },
+    (3,): {
+        "random": "62dd6ea78d7523c5",
+        "rr": "37e46c803c01a305",
+        "jsq2": "a309ece15ad969c9",
+        "sed": "fe47051162063d1f",
+    },
+}
+
+
+class TestSuspectedRoutingPins:
+    @pytest.mark.parametrize("suspected", sorted(SUSPECTED_PINS))
+    @pytest.mark.parametrize("policy", ["random", "rr", "jsq2", "sed"])
+    def test_choices_pinned(self, suspected, policy):
+        router = RackRouter(policy, "fresh")
+        Cluster(num_nodes=6, seed=0, router=router)
+        router.suspected = set(suspected)
+        rng = np.random.default_rng(21)
+        picks, details = [], []
+        for index in range(200):
+            if index % 7 == 0:
+                router.trace_capture = _DecisionLog(details)
+            picks.append(router.choose(index % 6, rng))
+        if len(suspected) < 6:
+            assert not set(picks) & set(suspected)
+        stats = router.stats
+        fingerprint = repr((
+            picks, details, stats.signal_error_sum.hex(),
+            stats.signal_error_count,
+        ))
+        digest = hashlib.sha256(fingerprint.encode()).hexdigest()[:16]
+        assert digest == SUSPECTED_PINS[suspected][policy]
 
 
 class TestHeterogeneousCluster:
