@@ -613,7 +613,6 @@ class Cluster:
         core_counts: Optional[Sequence[int]] = None,
         speed_factors: Optional[Sequence[float]] = None,
         telemetry: bool = False,
-        telemetry_interval_ns: Optional[float] = None,
         faults: Optional["FaultPlan"] = None,
         retry: Optional["RetryConfig"] = None,
         trace: Optional["TraceConfig"] = None,
@@ -688,7 +687,6 @@ class Cluster:
         #: Rack-level scheduler; None keeps the historical uniform spray.
         self.router = router
         self.telemetry = telemetry
-        self.telemetry_interval_ns = telemetry_interval_ns
         #: A fault run (a fault plan and/or a retry policy) gets both,
         #: defaulted, plus client-side e2e latencies; a fault-free run
         #: has neither and its injector runs an empty plan.
@@ -825,11 +823,8 @@ class Cluster:
         if self.telemetry:
             from ..telemetry import TelemetryHub, instrument_cluster
 
-            interval = self.telemetry_interval_ns
-            if interval is None:
-                # ~200 sampler ticks across the expected injection window.
-                interval = max(injection_ns / 200.0, 1.0)
-            hub = TelemetryHub(sample_interval=interval)
+            # ~200 sampler ticks across the expected injection window.
+            hub = TelemetryHub(sample_interval=max(injection_ns / 200.0, 1.0))
             instrument_cluster(self, hub)
             self.env.attach_sampler(hub.make_sampler())
         if self.router is not None:

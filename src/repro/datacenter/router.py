@@ -66,31 +66,18 @@ class DatacenterRouter(RackRouter):
         )
 
     def choose(self, client: int, rng: np.random.Generator) -> int:
-        dst = self.scheduler.choose(
-            client, self.outstanding, self.rack_outstanding, rng
-        )
-        capture = self.trace_capture
-        if capture is not None:
-            self.trace_capture = None
-            capture.note_decision(
-                policy=self.scheduler.label,
-                signal="fresh",
-                dst=dst,
-                estimate=float(self.outstanding[dst]),
-                outstanding=self.outstanding[dst],
-                candidates=self.num_nodes - 1,
-                suspected=0,
-            )
+        believe = self.outstanding
+        dst = self.scheduler.choose(client, believe, self.rack_outstanding, rng)
         # Fresh in-network state: the believed and true views coincide,
         # so the staleness error is identically zero (still counted, so
-        # mean_signal_error stays well-defined for load-aware sweeps).
+        # mean_signal_error stays well-defined; never sampled, as the
+        # base router's "random" policy reads no signal).
         self.stats.signal_error_count += 1
-        self.outstanding[dst] += 1
+        self._record(
+            dst, believe[dst], self.destinations.peers_of(client),
+            self.suspected,
+        )
         self.rack_outstanding[self.topology.rack_of(dst)] += 1
-        self.stats.routed[dst] += 1
-        self.stats.decisions += 1
-        if self.decision_counters is not None:
-            self.decision_counters[dst].inc()
         return dst
 
     def on_complete(self, server: int) -> float:

@@ -63,8 +63,8 @@ import numpy as np
 from ..cluster.cluster import ClusterResult
 from ..metrics import LatencySummary
 from ..queueing.fastsim import simulate_fifo_queue, spray_fifo_departures
-from ..rack.choice import Variates, pick_min
-from ..rack.policies import PowerOfD, ZipfDestinations, make_policy
+from ..rack.choice import Variates
+from ..rack.policies import ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
 from . import calibrate
@@ -800,20 +800,11 @@ def _rack_rules(
         return route_static, admit, release, None, stalled
 
     errors = np.empty(total)
-    capacities = {
-        node: cores[node] * float(speeds[node]) for node in range(num_nodes)
-    }
+    capacities = [cores[node] * float(speeds[node]) for node in range(num_nodes)]
     period = signal_obj.period_ns if is_broadcast else 0.0
     next_tick = period
     snap = [0] * num_nodes
-    integers = route_rng.integers
     choose = policy_obj.choose
-
-    # JSQ(d) dominates the sequential traffic (ext-rack, ext-scale): the
-    # same kernel calls PowerOfD.choose makes (same variate sequence),
-    # straight on ``believe`` with no per-event estimates dict. Pinned by
-    # tests/test_fastpath.py against the policy-object path.
-    jsq_d = policy_obj.d if isinstance(policy_obj, PowerOfD) else None
 
     def route(index: int, client: int, now: float) -> int:
         nonlocal snap, next_tick
@@ -826,13 +817,7 @@ def _rack_rules(
             believe = views[client]
         else:
             believe = outstanding
-        if jsq_d is not None:
-            chosen = destinations.sample_distinct(client, jsq_d, route_rng)
-            dst = pick_min(chosen, believe, integers)
-        else:
-            peers = destinations.peers_of(client)
-            estimates = {node: float(believe[node]) for node in peers}
-            dst = choose(client, destinations, estimates, capacities, route_rng)
+        dst = choose(client, destinations, believe, capacities, route_rng)
         errors[index] = abs(float(believe[dst]) - outstanding[dst])
         return dst
 

@@ -3,12 +3,16 @@
 Real RPC traffic is not uniform — a few tenants (sources) and a few
 keys (destinations) carry most of the load, and that is exactly where
 hash-based static placement (RSS-style spraying) concentrates queueing.
-This module is the single implementation of the Zipf machinery the
-simulator layers onto selection:
+This module holds the Zipf machinery the simulator layers onto source
+selection and the popularity model the tests check against:
 
-* :func:`zipf_weights` — the normalized ``1/rank^α`` mass vector; the
-  ``TrafficGenerator``'s ``source_skew`` and the rack router's
-  per-key destination skew both build on it.
+* :func:`zipf_weights` — the normalized ``1/rank^α`` mass vector the
+  ``TrafficGenerator``'s ``source_skew`` builds on. The rack's
+  :class:`~repro.rack.policies.ZipfDestinations` and the datacenter
+  schedulers' rack popularity compute the same ``1/rank^α`` weights
+  themselves, normalized per client or with the last cumulative weight
+  pinned to 1.0, so their bits differ from a re-normalized
+  ``zipf_weights`` vector.
 * :class:`ZipfPopularity` — an icarus-style stationary popularity
   model with the analytic pmf and head-mass helpers the tests check
   sampled frequencies against.

@@ -2,7 +2,7 @@
 
 "Draw d distinct candidates by popularity, take the least loaded, break
 ties at random" is the one primitive behind the queueing routers, the
-rack policies, the fast tier's JSQ(d) loop and the datacenter
+rack policies (on the DES and the fast tier alike) and the datacenter
 schedulers (RackSched and JBSQ apply it twice: rack, then member). The
 variate contract of these three functions is therefore the whole
 routing contract: :func:`draw_index` makes one ``random()`` call per

@@ -3,11 +3,12 @@
 RPCValet balances *within* a server; a rack-scale deployment also needs
 a client-side rule deciding *which* server each RPC goes to (RackSched,
 OSDI'20). A :class:`RackPolicy` makes that decision from (a) the
-client's view of per-server load — supplied by a
-:class:`repro.rack.signals.LoadSignal`, which may be arbitrarily stale —
-and (b) a destination *popularity* model (:class:`ZipfDestinations`)
-that skews where requests want to land, modeling hot shards that break
-random spray.
+client's view of per-server load — the node-indexed list a
+:class:`repro.rack.signals.LoadSignal` keeps, which may be arbitrarily
+stale — and (b) a destination *popularity* model
+(:class:`ZipfDestinations`) that skews where requests want to land,
+modeling hot shards that break random spray. The DES router and the
+fast tier both route through :meth:`RackPolicy.choose`.
 
 Policies are deliberately simple and classic:
 
@@ -96,16 +97,13 @@ class ZipfDestinations:
         """``(pool, cumulative)`` for one decision over the allowed peers.
 
         Popularity renormalizes over the peers in ``allowed`` (e.g.
-        suspected servers excluded). ``allowed=None``, one as large as
-        the peer list (candidate sets are subsets of it), or one keeping
-        no peer gives the precomputed full lists.
+        suspected servers excluded); ``allowed=None`` gives the
+        precomputed full lists.
         """
         peers = self._peers[client]
-        keep = None
-        if allowed is not None and len(allowed) != len(peers):
-            keep = [i for i, node in enumerate(peers) if node in allowed]
-        if not keep:
+        if allowed is None:
             return peers, self._cumulative[client]
+        keep = [i for i, node in enumerate(peers) if node in allowed]
         weights = self._weights[client][keep]
         cumulative = np.cumsum(weights / weights.sum()).tolist()
         return [peers[i] for i in keep], cumulative
@@ -149,19 +147,20 @@ class RackPolicy(abc.ABC):
         self,
         client: int,
         destinations: ZipfDestinations,
-        estimates: Dict[int, float],
-        capacities: Dict[int, float],
+        believe: Sequence[float],
+        capacities: Sequence[float],
         rng: np.random.Generator,
+        allowed: Optional[Sequence[int]] = None,
     ) -> int:
         """Return the destination node id for one request.
 
-        ``estimates``' key set is the *candidate set*: normally every
-        peer of ``client``, but the router may exclude
-        suspected-dead servers — policies must route within it. Values
-        are the client's current belief about each candidate's
-        outstanding load (see :mod:`repro.rack.signals`);
-        ``capacities`` maps peers to relative service capacity
-        (cores x speed, 1.0 for a homogeneous rack).
+        ``believe[node]`` is the client's current belief about each
+        node's outstanding load (see :mod:`repro.rack.signals`) and
+        ``capacities[node]`` its relative service capacity (cores x
+        speed, 1.0 for a homogeneous rack), both node-indexed.
+        ``allowed`` is the *candidate set* in peer order when the
+        router excludes suspected-dead servers — policies must route
+        within it; None means every peer of ``client``.
         """
 
 
@@ -170,8 +169,8 @@ class UniformRandomPolicy(RackPolicy):
 
     label = "random"
 
-    def choose(self, client, destinations, estimates, capacities, rng):
-        return destinations.sample(client, rng, estimates)
+    def choose(self, client, destinations, believe, capacities, rng, allowed=None):
+        return destinations.sample(client, rng, allowed)
 
 
 class RoundRobinPolicy(RackPolicy):
@@ -186,16 +185,16 @@ class RoundRobinPolicy(RackPolicy):
     def __init__(self) -> None:
         self._cursor: Dict[int, int] = {}
 
-    def choose(self, client, destinations, estimates, capacities, rng):
+    def choose(self, client, destinations, believe, capacities, rng, allowed=None):
         peers = destinations.peers_of(client)
         cursor = self._cursor.get(client, client % len(peers))
-        if len(estimates) != len(peers):
+        if allowed is not None:
             # Advance past excluded (suspected) peers; at most one full
             # cycle, falling back to the raw cursor if all are excluded.
             for _ in range(len(peers)):
                 node = peers[cursor % len(peers)]
                 cursor += 1
-                if node in estimates:
+                if node in allowed:
                     self._cursor[client] = cursor
                     return node
         self._cursor[client] = cursor + 1
@@ -213,9 +212,9 @@ class PowerOfD(RackPolicy):
         self.d = d
         self.label = f"jsq{d}"
 
-    def choose(self, client, destinations, estimates, capacities, rng):
-        candidates = destinations.sample_distinct(client, self.d, rng, estimates)
-        return pick_min(candidates, estimates, rng.integers)
+    def choose(self, client, destinations, believe, capacities, rng, allowed=None):
+        candidates = destinations.sample_distinct(client, self.d, rng, allowed)
+        return pick_min(candidates, believe, rng.integers)
 
 
 class ShortestExpectedDelay(RackPolicy):
@@ -229,15 +228,14 @@ class ShortestExpectedDelay(RackPolicy):
     label = "sed"
     uses_load_signal = True
 
-    def choose(self, client, destinations, estimates, capacities, rng):
-        # The candidate set is the estimates key set (insertion order
-        # follows peers_of, so draws match the historical behaviour
-        # when no peer is excluded).
-        score = {
-            node: (estimate + 1.0) / capacities[node]
-            for node, estimate in estimates.items()
-        }
-        return pick_min(list(score), score, rng.integers)
+    def choose(self, client, destinations, believe, capacities, rng, allowed=None):
+        if allowed is None:
+            allowed = destinations.peers_of(client)
+        score = [
+            (load + 1.0) / capacity
+            for load, capacity in zip(believe, capacities)
+        ]
+        return pick_min(allowed, score, rng.integers)
 
 
 def make_policy(spec: str) -> RackPolicy:

@@ -3,7 +3,7 @@
 One router serves a whole :class:`repro.cluster.Cluster`. Every node's
 traffic generator asks it for a destination per RPC; the router asks
 the policy, which reads the load-signal model's (possibly stale)
-estimates. The router also owns the ground truth those estimates chase:
+node-indexed view. The router also owns the ground truth it chases:
 ``outstanding[j]`` — RPCs routed to node *j* and not yet completed —
 incremented at each routing decision, decremented when node *j* posts
 the replenish.
@@ -11,13 +11,15 @@ the replenish.
 Observability: per-destination decision counts and (for load-aware
 policies) the absolute estimate error at each decision, both as plain
 stats (always on, O(1) per decision) and as telemetry counters /
-staleness-error histograms when the cluster runs instrumented.
+staleness-error histograms when the cluster runs instrumented. One
+helper, :meth:`RackRouter._record`, books every decision, the
+datacenter router's included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Collection, List, Optional
 
 import numpy as np
 
@@ -80,9 +82,8 @@ class RackRouter:
         Enables the failure detector (fault runs only): a server
         not heard from for this long is *suspected* and removed from
         the routing candidate set until a heartbeat readmits it.
-    heartbeat_period_ns:
-        Liveness heartbeat period; defaults to ``suspect_after_ns / 4``
-        so a healthy server is never falsely suspected by timing alone.
+        Heartbeats go out every ``suspect_after_ns / 4``, so a healthy
+        server is never falsely suspected by timing alone.
     """
 
     def __init__(
@@ -91,21 +92,15 @@ class RackRouter:
         signal: "LoadSignal | str" = "fresh",
         skew: float = 0.0,
         suspect_after_ns: Optional[float] = None,
-        heartbeat_period_ns: Optional[float] = None,
     ) -> None:
         if suspect_after_ns is not None and suspect_after_ns <= 0:
             raise ValueError(
                 f"suspect_after_ns must be positive, got {suspect_after_ns!r}"
             )
-        if heartbeat_period_ns is not None and heartbeat_period_ns <= 0:
-            raise ValueError(
-                f"heartbeat_period_ns must be positive, got {heartbeat_period_ns!r}"
-            )
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.signal = make_signal(signal) if isinstance(signal, str) else signal
         self.skew = skew
         self.suspect_after_ns = suspect_after_ns
-        self.heartbeat_period_ns = heartbeat_period_ns
         self.cluster: Optional["Cluster"] = None
         self.num_nodes = 0
         #: Ground truth: RPCs routed to node j and not yet completed.
@@ -114,7 +109,8 @@ class RackRouter:
         self.suspected: set = set()
         self.last_heard: List[float] = []
         self.destinations: Optional[ZipfDestinations] = None
-        self.capacities: Dict[int, float] = {}
+        #: Relative service capacity, node-indexed.
+        self.capacities: List[float] = []
         self.stats = RouterStats(
             policy=self.policy.label, signal=self.signal.label, skew=skew
         )
@@ -141,9 +137,9 @@ class RackRouter:
         self.suspected = set()
         self.last_heard = [0.0] * self.num_nodes
         self.destinations = ZipfDestinations(self.num_nodes, self.skew)
-        self.capacities = {
-            node: cluster.capacity_weight(node) for node in range(self.num_nodes)
-        }
+        self.capacities = [
+            cluster.capacity_weight(node) for node in range(self.num_nodes)
+        ]
         self.signal.bind(self)
 
     def start(self) -> None:
@@ -151,10 +147,7 @@ class RackRouter:
         self.signal.start()
         cluster = self.cluster
         if self.suspect_after_ns is not None and cluster.fault_plan is not None:
-            period = self.heartbeat_period_ns
-            if period is None:
-                period = self.suspect_after_ns / 4.0
-            self._hb_period = period
+            self._hb_period = self.suspect_after_ns / 4.0
             for server in range(self.num_nodes):
                 cluster.env.process(
                     self._heartbeat(server), name=f"heartbeat-{server}"
@@ -227,46 +220,63 @@ class RackRouter:
     def choose(self, client: int, rng: np.random.Generator) -> int:
         """Route one RPC issued by ``client``; returns the server id.
 
-        The candidate set is the key set of ``estimates``: all of the
-        client's peers, minus currently-suspected servers (falling back
-        to every peer when all are suspected — routing somewhere beats
-        routing nowhere).
+        The policy reads the signal's view and chooses among ``allowed``:
+        the client's peers minus currently-suspected servers, or None
+        (every peer) when none is suspected or all are — routing
+        somewhere beats routing nowhere.
         """
-        signal = self.signal
-        candidates = self.destinations.peers_of(client)
+        peers = self.destinations.peers_of(client)
         suspected = self.suspected
+        allowed = None
         if suspected:
-            candidates = [
-                node for node in candidates if node not in suspected
-            ] or candidates
-        estimates = {node: signal.estimate(client, node) for node in candidates}
+            allowed = [node for node in peers if node not in suspected] or None
+        believe = self.signal.view(client)
         dst = self.policy.choose(
-            client, self.destinations, estimates, self.capacities, rng
+            client, self.destinations, believe, self.capacities, rng, allowed
         )
+        self._record(dst, believe[dst], allowed or peers, suspected)
+        return dst
+
+    def _record(
+        self,
+        dst: int,
+        estimate: float,
+        candidates: Collection[int],
+        suspected: Collection[int],
+    ) -> None:
+        """Book one decision routed to ``dst`` on the believed ``estimate``.
+
+        Hands the detail (with the sizes of the candidate and suspected
+        sets) to a waiting trace, samples the staleness error
+        ``|estimate - outstanding|`` into the stats and histogram when
+        the policy reads the load signal, then counts the decision and
+        its new outstanding RPC.
+        """
+        outstanding = self.outstanding
+        stats = self.stats
         capture = self.trace_capture
         if capture is not None:
             self.trace_capture = None
             capture.note_decision(
-                policy=self.policy.label,
-                signal=self.signal.label,
+                policy=stats.policy,
+                signal=stats.signal,
                 dst=dst,
-                estimate=float(estimates[dst]),
-                outstanding=self.outstanding[dst],
+                estimate=float(estimate),
+                outstanding=outstanding[dst],
                 candidates=len(candidates),
                 suspected=len(suspected),
             )
         if self.policy.uses_load_signal:
-            error = abs(estimates[dst] - self.outstanding[dst])
-            self.stats.signal_error_sum += error
-            self.stats.signal_error_count += 1
+            error = abs(float(estimate) - outstanding[dst])
+            stats.signal_error_sum += error
+            stats.signal_error_count += 1
             if self.staleness_hist is not None:
                 self.staleness_hist.record(error)
-        self.outstanding[dst] += 1
-        self.stats.routed[dst] += 1
-        self.stats.decisions += 1
+        outstanding[dst] += 1
+        stats.routed[dst] += 1
+        stats.decisions += 1
         if self.decision_counters is not None:
             self.decision_counters[dst].inc()
-        return dst
 
     # -- completion feedback ----------------------------------------------
 

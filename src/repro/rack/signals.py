@@ -65,9 +65,10 @@ class LoadSignal(abc.ABC):
             [0.0] * num_nodes for _ in range(num_nodes)
         ]
 
-    def estimate(self, client: int, server: int) -> float:
-        """The client's current belief about ``server``'s load."""
-        return self.estimates[client][server]
+    def view(self, client: int) -> List[float]:
+        """The client's current belief about every node's load,
+        node-indexed (the stored list itself: read, never mutate)."""
+        return self.estimates[client]
 
     # -- event hooks (no-ops by default) -----------------------------------
 
@@ -79,12 +80,12 @@ class LoadSignal(abc.ABC):
 
 
 class InstantSignal(LoadSignal):
-    """Oracle: estimates are always the true outstanding load."""
+    """Oracle: the view is the true outstanding load."""
 
     label = "fresh"
 
-    def estimate(self, client: int, server: int) -> float:
-        return float(self.router.outstanding[server])
+    def view(self, client: int) -> List[int]:
+        return self.router.outstanding
 
 
 class PiggybackSignal(LoadSignal):

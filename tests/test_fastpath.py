@@ -89,32 +89,6 @@ class TestFastDeterminism:
         )
 
     @pytest.mark.parametrize(
-        "num_nodes, policy", [(4, "jsq2"), (2, "jsq2"), (3, "jsq3")]
-    )
-    def test_inlined_jsq_matches_policy_object_path(
-        self, monkeypatch, num_nodes, policy
-    ):
-        """The fast tier's JSQ(d) path (kernel calls straight on the
-        believed loads) must replay PowerOfD.choose's exact variate
-        sequence; defeating the isinstance gate forces the
-        generic path, and the results must be bit-identical. d reaching
-        the peer count (2 nodes at jsq2, 3 at jsq3) takes every peer."""
-        kwargs = dict(
-            num_nodes=num_nodes, policy=policy, signal="piggyback",
-            per_node_mrps=24.0, requests_per_node=600, seed=5,
-        )
-        inlined = simulate_rack_fast(**kwargs)
-
-        class _NeverMatches:
-            pass
-
-        monkeypatch.setattr(fastcluster, "PowerOfD", _NeverMatches)
-        generic = simulate_rack_fast(**kwargs)
-        assert inlined.aggregate.mean == generic.aggregate.mean
-        assert inlined.p99_ns == generic.p99_ns
-        assert inlined.per_node_completed == generic.per_node_completed
-
-    @pytest.mark.parametrize(
         "num_nodes, policy, mean_hex, completed",
         [
             (4, "jsq2", "0x1.341d0387e053fp+9", [608, 599, 595, 598]),

@@ -82,7 +82,9 @@ class TestPolicies:
         policy = RoundRobinPolicy()
         dests = ZipfDestinations(4)
         rng = np.random.default_rng(0)
-        picks = [policy.choose(1, dests, {}, {}, rng) for _ in range(9)]
+        picks = [
+            policy.choose(1, dests, [0] * 4, [1.0] * 4, rng) for _ in range(9)
+        ]
         assert 1 not in picks
         assert sorted(picks) == [0, 0, 0, 2, 2, 2, 3, 3, 3]
 
@@ -90,19 +92,17 @@ class TestPolicies:
         policy = PowerOfD(3)  # d == peers: candidates are all of them
         dests = ZipfDestinations(4)
         rng = np.random.default_rng(0)
-        estimates = {1: 5.0, 2: 0.0, 3: 9.0}
-        assert policy.choose(0, dests, estimates, {}, rng) == 2
+        believe = [0.0, 5.0, 0.0, 9.0]
+        assert policy.choose(0, dests, believe, [1.0] * 4, rng) == 2
 
     def test_sed_prefers_capacity_at_equal_load(self):
         policy = ShortestExpectedDelay()
         dests = ZipfDestinations(3)
         rng = np.random.default_rng(0)
-        estimates = {1: 4.0, 2: 4.0}
-        capacities = {1: 1.0, 2: 2.0}
-        assert policy.choose(0, dests, estimates, capacities, rng) == 2
+        capacities = [1.0, 1.0, 2.0]
+        assert policy.choose(0, dests, [0.0, 4.0, 4.0], capacities, rng) == 2
         # Twice the capacity absorbs twice the queue for the same delay.
-        estimates = {1: 2.0, 2: 7.0}
-        assert policy.choose(0, dests, estimates, capacities, rng) == 1
+        assert policy.choose(0, dests, [0.0, 2.0, 7.0], capacities, rng) == 1
 
 
 class TestSignals:
@@ -124,16 +124,16 @@ class TestSignals:
         cluster = Cluster(num_nodes=3, seed=0, router=router)
         assert cluster is router.cluster
         router.outstanding[2] = 7
-        assert router.signal.estimate(0, 2) == 7.0
+        assert router.signal.view(0)[2] == 7
 
     def test_piggyback_updates_only_on_reply(self):
         router = RackRouter(policy="jsq2", signal="piggyback")
         Cluster(num_nodes=3, seed=0, router=router)
         router.outstanding[1] = 9
-        assert router.signal.estimate(0, 1) == 0.0  # stale until a reply
+        assert router.signal.view(0)[1] == 0.0  # stale until a reply
         router.deliver_report(client=0, server=1, load=4.0)
-        assert router.signal.estimate(0, 1) == 4.0
-        assert router.signal.estimate(2, 1) == 0.0  # other clients unaware
+        assert router.signal.view(0)[1] == 4.0
+        assert router.signal.view(2)[1] == 0.0  # other clients unaware
 
     def test_wants_reply_reports(self):
         assert RackRouter(signal="piggyback").wants_reply_reports
